@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use faas_kernel::TaskSpec;
 use faas_metrics::{ChaosStats, HealthStats, MachineHealth, OverloadStats};
 use faas_simcore::{IndexedMinHeap, MinHeap4, SimDuration, SimRng, SimTime};
-use lambda_pricing::ChurnCostAccumulator;
+use lambda_pricing::CostAccumulator;
 
 use crate::chaos::{Autoscaler, BackoffConfig, Fault, RetryEntry, RetryQueue, ScaleDecision};
 use crate::dispatch::Dispatch;
@@ -164,14 +164,8 @@ impl DispatchCtx<'_> {
     /// must reproduce bit-for-bit — the differential suites compare the
     /// two directly.
     pub fn least_wait_of(&self, candidates: impl IntoIterator<Item = usize>) -> Option<usize> {
-        let mut best: Option<(usize, SimDuration)> = None;
-        for m in candidates {
-            let wait = self.est_wait(m);
-            if best.is_none_or(|(_, b)| wait < b) {
-                best = Some((m, wait));
-            }
-        }
-        best.map(|(m, _)| m)
+        // `min_by_key` keeps the first of equal minima.
+        candidates.into_iter().min_by_key(|&m| self.est_wait(m))
     }
 
     /// Total invocations dispatched to `machine` so far.
@@ -196,12 +190,11 @@ impl DispatchCtx<'_> {
     /// [`KeepAliveDispatch`](crate::dispatch::KeepAliveDispatch)'s spill
     /// budget.
     pub fn est_completion(&self, machine: usize) -> SimTime {
-        let boot = if self.is_warm(machine) {
-            SimDuration::ZERO
+        if self.is_warm(machine) {
+            self.now + self.est_wait(machine) + self.duration
         } else {
-            self.cold_boot_work()
-        };
-        self.now + self.est_wait(machine) + boot + self.duration
+            self.est_completion_after_boot(machine)
+        }
     }
 
     /// [`DispatchCtx::est_completion`] charged a boot unconditionally —
@@ -234,14 +227,7 @@ impl DispatchCtx<'_> {
         &self,
         candidates: impl IntoIterator<Item = usize>,
     ) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None;
-        for m in candidates {
-            let load = self.outstanding(m);
-            if best.is_none_or(|(_, b)| load < b) {
-                best = Some((m, load));
-            }
-        }
-        best.map(|(m, _)| m)
+        candidates.into_iter().min_by_key(|&m| self.outstanding(m))
     }
 
     /// The machines that could plausibly serve this invocation warm,
@@ -281,9 +267,7 @@ pub struct FrontEnd {
     cores: usize,
     /// Latest arrival dispatched so far — carried across
     /// [`FrontEnd::dispatch_chunk`] calls so a chunked feed enforces the
-    /// same global sorted-stream contract as one [`dispatch_all`] pass.
-    ///
-    /// [`dispatch_all`]: FrontEnd::dispatch_all
+    /// sorted-stream contract globally, not just within a chunk.
     last_arrival: SimTime,
     /// `(machine, function) → pool of instance busy-until instants (µs)`.
     /// One entry per live function instance: an instance serves **one**
@@ -352,8 +336,17 @@ pub struct FrontEnd {
     warm_sites: HashMap<u64, Vec<u32>>,
 }
 
+/// Drops `machine` from an ascending warm-site list (its pool emptied or
+/// was wiped).
+fn drop_site(sites: &mut Vec<u32>, machine: usize) {
+    if let Ok(pos) = sites.binary_search(&(machine as u32)) {
+        sites.remove(pos);
+    }
+}
+
 /// Front-end-resident state of the fault-injection layer, pre-split from
 /// the [`FaultPlan`](crate::FaultPlan) into the shapes the hot path needs.
+#[derive(Default)]
 struct ChaosFold {
     /// Crash schedule `(at_us, machine, down_us)`, time-sorted; `cursor`
     /// marks the first crash not yet applied to the load state.
@@ -375,8 +368,9 @@ struct ChaosFold {
     slo_us: Option<u64>,
     /// Crash instants whose SLO-recovery epoch is still open.
     pending_epochs: Vec<u64>,
-    /// Dollar ledger of doomed attempts and abandonments.
-    churn: Option<ChurnCostAccumulator>,
+    /// Dollar ledgers of churn: `(doomed attempts, abandonments)`,
+    /// summed only when the total is read.
+    churn: Option<(CostAccumulator, CostAccumulator)>,
     /// Retry-backoff config and its jitter stream, consumed in fold
     /// order (`None` re-dispatches at the crash instant).
     backoff: Option<(BackoffConfig, SimRng)>,
@@ -425,19 +419,17 @@ impl FrontEnd {
             }
             ChaosFold {
                 crashes,
-                cursor: 0,
                 crash_cur: vec![0; cfg.machines],
                 crash_at,
                 straggle_cur: vec![0; cfg.machines],
                 straggle,
-                retries: RetryQueue::new(),
                 max_retries: c.max_retries,
                 slo_us: c.slo.map(|s| s.as_micros()),
-                pending_epochs: Vec::new(),
-                churn: c.price.map(ChurnCostAccumulator::new),
+                churn: c
+                    .price
+                    .map(|p| (CostAccumulator::new(p), CostAccumulator::new(p))),
                 backoff: c.backoff.map(|b| (b, b.stream())),
-                backoff_retries: 0,
-                backoff_delay_us: 0,
+                ..ChaosFold::default()
             }
         });
         let scaler = cfg.autoscale.map(|a| Autoscaler::new(a, cfg.machines));
@@ -492,8 +484,8 @@ impl FrontEnd {
     /// `unrecovered` is only final after [`FrontEnd::finish`].
     pub fn chaos_stats(&self) -> ChaosStats {
         let mut stats = self.stats;
-        if let Some(churn) = self.chaos.as_ref().and_then(|c| c.churn.as_ref()) {
-            stats.churn_cost_usd = churn.total_usd();
+        if let Some((retry, abandoned)) = self.chaos.as_ref().and_then(|c| c.churn.as_ref()) {
+            stats.churn_cost_usd = retry.total_usd() + abandoned.total_usd();
         }
         stats
     }
@@ -548,14 +540,14 @@ impl FrontEnd {
         while pool.peek_min().is_some_and(|&b| b + ka <= now_us) {
             pool.pop_min();
         }
-        let hit = if pool.peek_min().is_some_and(|&b| b <= now_us) {
+        let hit = pool.peek_min().is_some_and(|&b| b <= now_us);
+        if hit {
             pool.pop_min();
-            true
-        } else {
-            false
-        };
+        }
         if pool.peek_min().is_none() {
-            self.site_remove(function, machine);
+            if let Some(sites) = self.warm_sites.get_mut(&function) {
+                drop_site(sites, machine);
+            }
         }
         hit
     }
@@ -570,52 +562,17 @@ impl FrontEnd {
         }
     }
 
-    /// Drops `machine` from `function`'s warm-site list (pool emptied).
-    fn site_remove(&mut self, function: u64, machine: usize) {
-        if let Some(sites) = self.warm_sites.get_mut(&function) {
-            if let Ok(pos) = sites.binary_search(&(machine as u32)) {
-                sites.remove(pos);
-            }
-        }
-    }
-
-    /// Drops `machine` from every warm-site list — the wholesale pool
-    /// wipe of a crash or scale-up reset.
-    fn purge_sites(&mut self, machine: usize) {
-        let m = machine as u32;
-        for sites in self.warm_sites.values_mut() {
-            if let Ok(pos) = sites.binary_search(&m) {
-                sites.remove(pos);
-            }
-        }
-    }
-
-    /// Runs the dispatch pass over `tasks` (must be sorted by arrival;
-    /// trace synthesis produces exactly that).
+    /// Runs the dispatch pass over `tasks` (sorted by arrival; trace
+    /// synthesis produces exactly that), continuing from the load
+    /// estimates, warm pools and arrival floor the previous call left
+    /// behind. Chunked dispatch of a stream is decision-for-decision
+    /// identical to one call over its concatenation — the front end is a
+    /// pure fold over the arrival sequence.
     ///
     /// # Panics
     ///
-    /// Panics if arrivals are out of order or the policy picks a machine
-    /// index out of range.
-    pub fn dispatch_all<D: Dispatch + ?Sized>(
-        mut self,
-        tasks: &[ClusterTask],
-        policy: &mut D,
-    ) -> Assignment {
-        self.dispatch_chunk(tasks, policy)
-    }
-
-    /// One incremental slice of the dispatch pass: like
-    /// [`FrontEnd::dispatch_all`], but keeps the front end alive so the
-    /// next chunk continues from the same load estimates, warm pools and
-    /// arrival floor. Chunked dispatch of a stream is decision-for-
-    /// decision identical to one `dispatch_all` over its concatenation —
-    /// the front end is a pure fold over the arrival sequence.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`FrontEnd::dispatch_all`], with the arrival floor
-    /// carried across chunks.
+    /// Panics if arrivals are out of order (across calls too) or the
+    /// policy picks a machine index out of range.
     pub fn dispatch_chunk<D: Dispatch + ?Sized>(
         &mut self,
         tasks: &[ClusterTask],
@@ -749,30 +706,11 @@ impl FrontEnd {
     }
 
     /// A machine dies: all in-flight work is lost (the doomed invocations
-    /// were already routed to the retry queue at dispatch time), the load
-    /// estimate resets to "every core frees when the machine comes back",
-    /// its warm pools are gone, and its arrival floor moves past the
-    /// downtime so the kernel feed stays sorted.
+    /// were already routed to the retry queue at dispatch time) and it
+    /// comes back as a fresh boot once the downtime ends.
     fn apply_crash(&mut self, machine: usize, at_us: u64, down_us: u64) {
         let until = at_us + down_us;
-        self.available_at[machine] = self.available_at[machine].max(until);
-        let load = &mut self.loads[machine];
-        load.free_cores.clear();
-        for _ in 0..self.cores {
-            load.free_cores.push(until);
-        }
-        // Void the booked completions wholesale: the epoch bump turns
-        // this machine's completion-heap entries into no-ops at pop.
-        load.epoch += 1;
-        let lost = load.outstanding;
-        load.outstanding = 0;
-        if machine < self.active {
-            self.active_outstanding -= u64::from(lost);
-            self.out_heap.set(machine, (0, machine as u32));
-        }
-        self.refresh_wait(machine, self.clock_us);
-        self.pools.retain(|&(m, _), _| m as usize != machine);
-        self.purge_sites(machine);
+        self.reset_machine(machine, until);
         self.stats.crashes += 1;
         let active = self.active;
         if let Some(h) = &mut self.health {
@@ -783,6 +721,32 @@ impl FrontEnd {
                 chaos.pending_epochs.push(at_us);
             }
         }
+    }
+
+    /// Wipes `machine` back to a fresh boot that is ready at `ready_us`
+    /// (crash recovery, scale-up): every core frees at `ready_us`, the
+    /// booked completions are voided wholesale (the epoch bump turns this
+    /// machine's completion-heap entries into no-ops at pop), its warm
+    /// pools are gone, and its arrival floor moves past `ready_us` so the
+    /// kernel feed stays sorted.
+    fn reset_machine(&mut self, machine: usize, ready_us: u64) {
+        let load = &mut self.loads[machine];
+        load.free_cores.clear();
+        for _ in 0..self.cores {
+            load.free_cores.push(ready_us);
+        }
+        load.epoch += 1;
+        let lost = std::mem::take(&mut load.outstanding);
+        if machine < self.active {
+            self.active_outstanding -= u64::from(lost);
+            self.out_heap.set(machine, (0, machine as u32));
+            self.refresh_wait(machine, self.clock_us);
+        }
+        self.pools.retain(|&(m, _), _| m as usize != machine);
+        for sites in self.warm_sites.values_mut() {
+            drop_site(sites, machine);
+        }
+        self.available_at[machine] = self.available_at[machine].max(ready_us);
     }
 
     /// Re-files `machine` in the wait heaps after its FCFS head moved
@@ -842,19 +806,11 @@ impl FrontEnd {
         match scaler.observe(now_us, self.active_outstanding, self.active) {
             Some(ScaleDecision::Up) => {
                 let idx = self.active;
-                let ready = now_us + boot_us;
-                let load = &mut self.loads[idx];
-                load.free_cores.clear();
-                for _ in 0..self.cores {
-                    load.free_cores.push(ready);
-                }
-                // Same wholesale voiding as a crash: whatever the spare
-                // was still draining is irrelevant to its fresh boot.
-                load.epoch += 1;
-                load.outstanding = 0;
-                self.pools.retain(|&(m, _), _| m as usize != idx);
-                self.purge_sites(idx);
-                self.available_at[idx] = self.available_at[idx].max(ready);
+                // Whatever the spare was still draining is irrelevant to
+                // its fresh boot. It is not yet active, so its leftover
+                // outstanding count was already taken out of the active
+                // sum when it scaled down.
+                self.reset_machine(idx, now_us + boot_us);
                 self.active += 1;
                 self.out_heap.set(idx, (0, idx as u32));
                 self.refresh_wait(idx, now_us);
@@ -967,6 +923,62 @@ impl FrontEnd {
         !self.cand_scratch.is_empty() && self.cand_scratch.len() != self.active
     }
 
+    /// Books one attempt of `function` on `machine` at `now_us`: claims
+    /// an idle warm instance or folds the cold boot into `spec`, books
+    /// the FCFS estimate, and parks the (new or reused) instance in the
+    /// pool until the booked completion, after which it idles warm.
+    /// Returns the booked completion (µs).
+    fn book(
+        &mut self,
+        machine: usize,
+        function: u64,
+        spec: &mut TaskSpec,
+        now_us: u64,
+        out: &mut Assignment,
+    ) -> u64 {
+        let warm_hit = self.claim_instance(machine, function, now_us);
+        if let Some(c) = self.cold {
+            if !warm_hit {
+                spec.work += c.boot_work;
+                out.cold_starts += 1;
+            }
+        }
+        let completion = self.note_booked(
+            machine,
+            now_us,
+            spec.work.as_micros(),
+            spec.io_wait.as_micros(),
+        );
+        if self.cold.is_some() {
+            self.pools
+                .entry((machine as u32, function))
+                .or_default()
+                .push(completion);
+            self.site_add(function, machine);
+        }
+        completion
+    }
+
+    /// Lands a surviving attempt on `machine`: respects the machine's
+    /// arrival floor (crash downtime, boot lag), then scales kernel-side
+    /// work if a straggler window covers the arrival. The router's
+    /// booking stays unscaled, because stragglers are invisible from
+    /// behind its information boundary; the returned inflation (µs) is
+    /// what the completion *report* carries — reports describe ground
+    /// truth, they just arrive late.
+    fn land(&mut self, machine: usize, spec: &mut TaskSpec, now_us: u64) -> u64 {
+        let arrival_us = now_us.max(self.available_at[machine]);
+        let mut extra_us = 0;
+        if let Some(slow) = self.straggle_factor(machine, arrival_us) {
+            let scaled = spec.work.mul_f64(slow);
+            extra_us = (scaled - spec.work).as_micros();
+            spec.work = scaled;
+            self.stats.straggled_tasks += 1;
+        }
+        spec.arrival = SimTime::from_micros(arrival_us);
+        extra_us
+    }
+
     /// Routes one invocation (a fresh arrival or a re-dispatch on its
     /// `attempts`-th replay, avoiding `avoid`) through middleware,
     /// health feedback, policy, cold-start and chaos accounting,
@@ -995,45 +1007,27 @@ impl FrontEnd {
         // the suspect machine's half-open probe (skipping the policy);
         // otherwise ejected machines and the retry's crash site leave
         // the candidate set handed to the policy.
-        let health_probe = match &mut self.health {
-            Some(h) => h.probe_target(now_us),
-            None => None,
+        let health_probe = self.health.as_mut().and_then(|h| h.probe_target(now_us));
+        let use_cand = health_probe.is_none() && self.fill_candidate_set(avoid);
+        let front: &FrontEnd = self;
+        let ctx = DispatchCtx {
+            now,
+            function: task.function,
+            duration: task.spec.work + task.spec.io_wait,
+            front,
+            cand: use_cand.then_some(front.cand_scratch.as_slice()),
         };
-        let (machine, est_completion) = if let Some(pm) = health_probe {
-            let ctx = DispatchCtx {
-                now,
-                function: task.function,
-                duration: task.spec.work + task.spec.io_wait,
-                front: self,
-                cand: None,
-            };
-            (pm, self.overload.is_some().then(|| ctx.est_completion(pm)))
-        } else {
-            let use_cand = self.fill_candidate_set(avoid);
-            let front: &FrontEnd = self;
-            let ctx = DispatchCtx {
-                now,
-                function: task.function,
-                duration: task.spec.work + task.spec.io_wait,
-                front,
-                cand: use_cand.then_some(front.cand_scratch.as_slice()),
-            };
+        let picked = health_probe.unwrap_or_else(|| {
             let picked = policy.pick(&ctx);
             assert!(
                 picked < ctx.machines(),
                 "dispatch picked candidate {picked} of {}",
                 ctx.machines()
             );
-            let est = front.overload.is_some().then(|| ctx.est_completion(picked));
-            (
-                if use_cand {
-                    front.cand_scratch[picked]
-                } else {
-                    picked
-                },
-                est,
-            )
-        };
+            picked
+        });
+        let est_completion = front.overload.is_some().then(|| ctx.est_completion(picked));
+        let machine = ctx.phys(picked);
         assert!(
             machine < self.active,
             "dispatch picked machine {machine} of {} active",
@@ -1058,35 +1052,12 @@ impl FrontEnd {
         if let Some(mw) = &self.overload {
             mw.stamp(&mut spec, now);
         }
-        let warm_hit = self.claim_instance(machine, task.function, now_us);
-        if let Some(c) = self.cold {
-            if !warm_hit {
-                spec.work += c.boot_work;
-                out.cold_starts += 1;
-            }
-        }
-        let completion = self.note_booked(
-            machine,
-            now_us,
-            spec.work.as_micros(),
-            spec.io_wait.as_micros(),
-        );
-        if self.cold.is_some() {
-            // The (new or reused) instance serves this invocation
-            // until its estimated completion, then idles warm.
-            self.pools
-                .entry((machine as u32, task.function))
-                .or_default()
-                .push(completion);
-            self.site_add(task.function, machine);
-        }
+        let completion = self.book(machine, task.function, &mut spec, now_us, out);
         if let Some(mw) = &mut self.overload {
             mw.note_dispatch(task.function, completion);
         }
-        if is_health_probe {
-            if let Some(h) = &mut self.health {
-                h.mark_probing(machine);
-            }
+        if let Some(h) = self.health.as_mut().filter(|_| is_health_probe) {
+            h.mark_probing(machine);
         }
         // Doom check: the router has already paid for this attempt (load
         // booked, instance claimed, boot billed) but the machine dies
@@ -1094,20 +1065,18 @@ impl FrontEnd {
         // kernel. Re-enqueue (after the backoff delay, when configured),
         // or abandon once the retry budget is spent.
         if let Some(crash_at) = self.dooming_crash(machine, now_us, completion) {
-            if is_health_probe {
-                if let Some(h) = &mut self.health {
-                    h.probe_doomed(machine, crash_at);
-                }
+            if let Some(h) = self.health.as_mut().filter(|_| is_health_probe) {
+                h.probe_doomed(machine, crash_at);
             }
-            let billed = spec.work + spec.io_wait;
             let chaos = self.chaos.as_mut().expect("doom implies chaos");
-            if let Some(churn) = &mut chaos.churn {
-                churn.record_retry(billed, spec.mem_mib);
+            if let Some((retry, _)) = &mut chaos.churn {
+                retry.record_duration(spec.work + spec.io_wait, spec.mem_mib);
             }
             if chaos.max_retries.is_some_and(|cap| attempts >= cap) {
                 self.stats.abandoned += 1;
-                if let Some(churn) = &mut chaos.churn {
-                    churn.record_abandoned(task.spec.work + task.spec.io_wait, task.spec.mem_mib);
+                if let Some((_, abandoned)) = &mut chaos.churn {
+                    abandoned
+                        .record_duration(task.spec.work + task.spec.io_wait, task.spec.mem_mib);
                 }
             } else {
                 self.stats.retries += 1;
@@ -1129,95 +1098,56 @@ impl FrontEnd {
             }
             return;
         }
-        // Survivor: respect the machine's arrival floor (crash downtime,
-        // boot lag), then scale kernel-side work if a straggler window
-        // covers the arrival — the router's booking above stays unscaled,
-        // because stragglers are invisible from behind its information
-        // boundary. The completion *report* queued for the health
-        // tracker does carry the inflation: reports describe ground
-        // truth, they just arrive late.
-        let arrival_us = now_us.max(self.available_at[machine]);
-        let mut extra_us = 0;
-        if let Some(slow) = self.straggle_factor(machine, arrival_us) {
-            let scaled = spec.work.mul_f64(slow);
-            extra_us = (scaled - spec.work).as_micros();
-            spec.work = scaled;
-            self.stats.straggled_tasks += 1;
-        }
-        spec.arrival = SimTime::from_micros(arrival_us);
+        let extra_us = self.land(machine, &mut spec, now_us);
         // Hedge: a fresh, non-probe arrival whose estimated response
         // passes the observed tail gets a speculative copy on the
         // healthiest other machine; the estimated loser is cancelled by
         // the kernel at the winner's booked completion, and only the
         // winner's completion report feeds the tracker.
         let mut report = (machine, completion + extra_us);
-        if attempts == 0 && !is_health_probe {
-            let hedge_to = self.health.as_mut().and_then(|h| {
+        let hedge_to = if attempts == 0 && !is_health_probe {
+            self.health.as_mut().and_then(|h| {
                 h.should_hedge(machine, completion.saturating_sub(now_us))
                     .then(|| h.hedge_target(machine))
                     .flatten()
-            });
-            if let Some(hm) = hedge_to {
-                // The copy bypasses the middleware (no admission, no
-                // deadline stamp) but pays cold starts and load
-                // accounting like any dispatch.
-                let mut spec2 = task.spec.clone();
-                let warm2 = self.claim_instance(hm, task.function, now_us);
-                if let Some(c) = self.cold {
-                    if !warm2 {
-                        spec2.work += c.boot_work;
-                        out.cold_starts += 1;
-                    }
-                }
-                let completion2 = self.note_booked(
-                    hm,
-                    now_us,
-                    spec2.work.as_micros(),
-                    spec2.io_wait.as_micros(),
-                );
-                if self.cold.is_some() {
-                    self.pools
-                        .entry((hm as u32, task.function))
-                        .or_default()
-                        .push(completion2);
-                    self.site_add(task.function, hm);
-                }
-                if let Some(crash_at) = self.dooming_crash(hm, now_us, completion2) {
-                    // The speculation dies with its machine: billed,
-                    // never retried — the primary still owns the
-                    // invocation.
-                    let busy = SimDuration::from_micros(crash_at.saturating_sub(now_us));
-                    let h = self.health.as_mut().expect("hedge implies tracker");
-                    h.record_hedge(false, busy, task.spec.mem_mib);
+            })
+        } else {
+            None
+        };
+        if let Some(hm) = hedge_to {
+            // The copy bypasses the middleware (no admission, no
+            // deadline stamp) but pays cold starts and load accounting
+            // like any dispatch.
+            let mut copy = task.spec.clone();
+            let copy_done = self.book(hm, task.function, &mut copy, now_us, out);
+            if let Some(crash_at) = self.dooming_crash(hm, now_us, copy_done) {
+                // The speculation dies with its machine: billed, never
+                // retried — the primary still owns the invocation.
+                let busy = SimDuration::from_micros(crash_at.saturating_sub(now_us));
+                let h = self.health.as_mut().expect("hedge implies tracker");
+                h.record_hedge(false, busy, copy.mem_mib);
+            } else {
+                let copy_extra_us = self.land(hm, &mut copy, now_us);
+                let h = self.health.as_mut().expect("hedge implies tracker");
+                if copy_done < completion {
+                    // The copy is the estimated winner: the original
+                    // booking inherits a deadline at the copy's
+                    // completion and dies in the kernel.
+                    let cancel = SimTime::from_micros(copy_done);
+                    spec.deadline = Some(spec.deadline.map_or(cancel, |d| d.min(cancel)));
+                    let busy = SimDuration::from_micros(copy_done.saturating_sub(now_us));
+                    h.record_hedge(true, busy, spec.mem_mib);
+                    report = (hm, copy_done + copy_extra_us);
                 } else {
-                    let arrival2_us = now_us.max(self.available_at[hm]);
-                    let mut extra2_us = 0;
-                    if let Some(slow) = self.straggle_factor(hm, arrival2_us) {
-                        let scaled = spec2.work.mul_f64(slow);
-                        extra2_us = (scaled - spec2.work).as_micros();
-                        spec2.work = scaled;
-                        self.stats.straggled_tasks += 1;
-                    }
-                    spec2.arrival = SimTime::from_micros(arrival2_us);
-                    let h = self.health.as_mut().expect("hedge implies tracker");
-                    if completion2 < completion {
-                        // The copy is the estimated winner: the original
-                        // booking inherits a deadline at the copy's
-                        // completion and dies in the kernel.
-                        let cancel = SimTime::from_micros(completion2);
-                        spec.deadline = Some(spec.deadline.map_or(cancel, |d| d.min(cancel)));
-                        let busy = SimDuration::from_micros(completion2.saturating_sub(now_us));
-                        h.record_hedge(true, busy, spec.mem_mib);
-                        report = (hm, completion2 + extra2_us);
-                    } else {
-                        // The original wins: the copy is cancelled at
-                        // the original's booked completion.
-                        spec2.deadline = Some(SimTime::from_micros(completion));
-                        let busy = SimDuration::from_micros(completion.saturating_sub(arrival2_us));
-                        h.record_hedge(false, busy, spec2.mem_mib);
-                    }
-                    out.per_machine[hm].push(spec2);
+                    // The original wins: the copy is cancelled at the
+                    // original's booked completion.
+                    copy.deadline = Some(SimTime::from_micros(completion));
+                    let busy = SimDuration::from_micros(
+                        completion.saturating_sub(copy.arrival.as_micros()),
+                    );
+                    h.record_hedge(false, busy, copy.mem_mib);
                 }
+                out.per_machine[hm].push(copy);
             }
         }
         if let Some(h) = &mut self.health {
@@ -1259,7 +1189,7 @@ mod tests {
     #[test]
     fn passthrough_sends_everything_to_machine_zero() {
         let tasks: Vec<ClusterTask> = (0..5).map(|i| task(i, 10, 0)).collect();
-        let a = FrontEnd::new(&cfg(3, 2)).dispatch_all(&tasks, &mut Passthrough);
+        let a = FrontEnd::new(&cfg(3, 2)).dispatch_chunk(&tasks, &mut Passthrough);
         assert_eq!(a.per_machine[0].len(), 5);
         assert!(a.per_machine[1].is_empty() && a.per_machine[2].is_empty());
         assert_eq!(a.cold_starts, 0, "no cold-start model configured");
@@ -1270,7 +1200,7 @@ mod tests {
         // 4 simultaneous long tasks on 4 single-core machines: each
         // machine must receive exactly one.
         let tasks: Vec<ClusterTask> = (0..4).map(|_| task(0, 1_000, 0)).collect();
-        let a = FrontEnd::new(&cfg(4, 1)).dispatch_all(&tasks, &mut LeastOutstanding);
+        let a = FrontEnd::new(&cfg(4, 1)).dispatch_chunk(&tasks, &mut LeastOutstanding);
         for m in 0..4 {
             assert_eq!(a.per_machine[m].len(), 1, "machine {m} share");
         }
@@ -1281,7 +1211,7 @@ mod tests {
         // One short task, then a long gap: the second task sees machine 0
         // drained and lands there again under least-outstanding.
         let tasks = vec![task(0, 10, 0), task(10_000, 10, 0)];
-        let a = FrontEnd::new(&cfg(2, 1)).dispatch_all(&tasks, &mut LeastOutstanding);
+        let a = FrontEnd::new(&cfg(2, 1)).dispatch_chunk(&tasks, &mut LeastOutstanding);
         assert_eq!(a.per_machine[0].len(), 2, "drained machine is reused");
     }
 
@@ -1294,8 +1224,8 @@ mod tests {
         // f7 boots once (busy 135 ms, idle well before the 400 ms
         // revisit), f9 boots on first sight.
         let tasks = vec![task(0, 10, 7), task(400, 10, 7), task(600, 10, 9)];
-        let a =
-            FrontEnd::new(&cfg(1, 2).with_cold_start(cold)).dispatch_all(&tasks, &mut Passthrough);
+        let a = FrontEnd::new(&cfg(1, 2).with_cold_start(cold))
+            .dispatch_chunk(&tasks, &mut Passthrough);
         assert_eq!(a.cold_starts, 2, "two distinct functions boot once each");
         let works: Vec<u64> = a.per_machine[0]
             .iter()
@@ -1318,20 +1248,20 @@ mod tests {
         // still busy when the next call arrives, so every call boots —
         // one warm instance must not blanket a whole burst.
         let tasks = vec![task(0, 10, 7), task(1, 10, 7), task(2, 10, 7)];
-        let a =
-            FrontEnd::new(&cfg(1, 4).with_cold_start(cold)).dispatch_all(&tasks, &mut Passthrough);
+        let a = FrontEnd::new(&cfg(1, 4).with_cold_start(cold))
+            .dispatch_chunk(&tasks, &mut Passthrough);
         assert_eq!(a.cold_starts, 3, "concurrency forces one boot per call");
         // After the burst drains, a revisit reuses an idle instance.
         let tasks = vec![task(0, 10, 7), task(1, 10, 7), task(500, 10, 7)];
-        let a =
-            FrontEnd::new(&cfg(1, 4).with_cold_start(cold)).dispatch_all(&tasks, &mut Passthrough);
+        let a = FrontEnd::new(&cfg(1, 4).with_cold_start(cold))
+            .dispatch_chunk(&tasks, &mut Passthrough);
         assert_eq!(a.cold_starts, 2, "idle instance absorbs the revisit");
     }
 
     #[test]
     fn round_robin_cycles_machines() {
         let tasks: Vec<ClusterTask> = (0..6).map(|i| task(i, 1, 0)).collect();
-        let a = FrontEnd::new(&cfg(3, 1)).dispatch_all(&tasks, &mut RoundRobinDispatch::new());
+        let a = FrontEnd::new(&cfg(3, 1)).dispatch_chunk(&tasks, &mut RoundRobinDispatch::new());
         for m in 0..3 {
             assert_eq!(a.per_machine[m].len(), 2);
         }
@@ -1341,6 +1271,6 @@ mod tests {
     #[should_panic(expected = "sorted")]
     fn unsorted_arrivals_are_rejected() {
         let tasks = vec![task(10, 1, 0), task(5, 1, 0)];
-        FrontEnd::new(&cfg(1, 1)).dispatch_all(&tasks, &mut Passthrough);
+        FrontEnd::new(&cfg(1, 1)).dispatch_chunk(&tasks, &mut Passthrough);
     }
 }

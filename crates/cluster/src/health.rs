@@ -27,7 +27,8 @@
 //!   so a fleet-wide slowdown cannot storm the queues with copies of
 //!   itself. The estimated loser is handed a kernel deadline at the
 //!   winner's booked completion and cancelled mid-flight; its wasted
-//!   occupancy is billed through [`HedgeCostAccumulator`].
+//!   occupancy is billed from the spec's would-have-been duration into a
+//!   [`CostAccumulator`], since a cancelled task leaves no record.
 //! * **Retry backoff** ([`BackoffConfig`](crate::BackoffConfig), on the
 //!   chaos config) — crash re-dispatch waits out an exponential, jittered
 //!   delay and avoids the machine it just died on.
@@ -43,7 +44,7 @@ use std::collections::BinaryHeap;
 
 use faas_metrics::{HealthStats, MachineHealth, QuantileSketch};
 use faas_simcore::{IndexedMinHeap, SimDuration};
-use lambda_pricing::{HedgeCostAccumulator, PriceModel};
+use lambda_pricing::{CostAccumulator, PriceModel};
 
 /// Quantile-sketch accuracy for the hedge trigger's response-time tail.
 const HEDGE_SKETCH_EPSILON: f64 = 0.01;
@@ -235,9 +236,10 @@ impl HealthConfig {
 }
 
 /// Where a machine stands in the ejection state machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 enum Phase {
     /// In the candidate set.
+    #[default]
     Healthy,
     /// Out of the candidate set; eligible for a probe once the arrival
     /// clock passes `until_us`.
@@ -246,8 +248,9 @@ enum Phase {
     Probing { since_us: u64 },
 }
 
-/// Tracker-side view of one machine.
-#[derive(Debug, Clone, Copy)]
+/// Tracker-side view of one machine; the default is an unsampled,
+/// healthy machine.
+#[derive(Debug, Clone, Copy, Default)]
 struct MachineState {
     ewma_us: f64,
     samples: u64,
@@ -259,18 +262,6 @@ struct MachineState {
 }
 
 impl MachineState {
-    fn new() -> Self {
-        MachineState {
-            ewma_us: 0.0,
-            samples: 0,
-            ejections: 0,
-            straggled_us: 0,
-            timeout_streak: 0,
-            crash_streak: 0,
-            phase: Phase::Healthy,
-        }
-    }
-
     /// The hedge-placement score: lower is healthier. An unsampled
     /// machine scores zero (nothing known against it); streaks of
     /// timeouts or crashes inflate a sampled machine's EWMA.
@@ -283,31 +274,16 @@ impl MachineState {
 }
 
 /// One queued completion report, ordered by `(report_at_us, seq)` so the
-/// fold digests reports in a deterministic arrival order.
-#[derive(Debug)]
+/// fold digests reports in a deterministic arrival order. The derived
+/// order compares fields top to bottom, and `seq` is unique, so the
+/// fields after it never decide.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Report {
     report_at_us: u64,
     seq: u64,
     machine: usize,
     response_us: u64,
     probe: bool,
-}
-
-impl PartialEq for Report {
-    fn eq(&self, other: &Self) -> bool {
-        (self.report_at_us, self.seq) == (other.report_at_us, other.seq)
-    }
-}
-impl Eq for Report {}
-impl PartialOrd for Report {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Report {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.report_at_us, self.seq).cmp(&(other.report_at_us, other.seq))
-    }
 }
 
 /// The front-end-resident health fold: EWMAs, the ejection state
@@ -380,14 +356,14 @@ pub(crate) struct HealthTracker {
     /// Dispatches whose completion reports were booked — the denominator
     /// of the hedge budget.
     dispatches: u64,
-    hedge_cost: Option<HedgeCostAccumulator>,
+    hedge_cost: Option<CostAccumulator>,
     stats: HealthStats,
 }
 
 impl HealthTracker {
     pub(crate) fn new(cfg: HealthConfig, machines: usize, active: usize) -> Self {
         HealthTracker {
-            machines: vec![MachineState::new(); machines],
+            machines: vec![MachineState::default(); machines],
             reports: BinaryHeap::new(),
             seq: 0,
             active: active.min(machines),
@@ -407,10 +383,7 @@ impl HealthTracker {
             tail_pending: Vec::new(),
             tail_hist: vec![0; 65],
             dispatches: 0,
-            hedge_cost: cfg
-                .hedge
-                .and_then(|h| h.price)
-                .map(HedgeCostAccumulator::new),
+            hedge_cost: cfg.hedge.and_then(|h| h.price).map(CostAccumulator::new),
             stats: HealthStats::default(),
             cfg,
         }
@@ -856,7 +829,7 @@ impl HealthTracker {
             self.stats.hedges_lost += 1;
         }
         if let Some(cost) = &mut self.hedge_cost {
-            cost.record(loser_busy, mem_mib);
+            cost.record_duration(loser_busy, mem_mib);
         }
     }
 

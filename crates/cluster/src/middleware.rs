@@ -11,8 +11,8 @@
 //!    front end's in-flight estimate, then a per-function deterministic
 //!    token bucket (integer micro-token arithmetic on the simulated
 //!    clock). Refused work is *recorded*, never simulated: it costs the
-//!    provider its would-have-been bill ([`lambda_pricing`'s
-//!    `ShedCostAccumulator`]) but no machine ever sees it.
+//!    provider its would-have-been bill (a [`CostAccumulator`] fed each
+//!    shed spec's `work + io_wait`) but no machine ever sees it.
 //! 2. **Circuit-breaker gate** — a function whose breaker is open is shed
 //!    without consulting the dispatch policy; after
 //!    [`BreakerConfig::cooldown`] the next arrival is admitted as a
@@ -42,15 +42,13 @@
 //! ([`OverloadConfig::default`]) sheds nothing, stamps nothing and adds
 //! no kernel events: runs are bitwise identical to the bare policy
 //! (pinned by the no-op differential suite).
-//!
-//! [`lambda_pricing`'s `ShedCostAccumulator`]: lambda_pricing::ShedCostAccumulator
 
 use std::collections::{HashMap, VecDeque};
 
 use faas_kernel::TaskSpec;
 use faas_metrics::OverloadStats;
 use faas_simcore::{MinHeap4, SimDuration, SimTime};
-use lambda_pricing::{PriceModel, ShedCostAccumulator};
+use lambda_pricing::{CostAccumulator, PriceModel};
 
 /// Per-function token-bucket rate limit (admission layer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,19 +217,18 @@ pub(crate) struct Overload {
     /// Per-function estimated completion instants (µs) of admitted
     /// in-flight invocations; maintained only under a concurrency cap.
     in_flight: HashMap<u64, MinHeap4<u64>>,
-    shed_cost: Option<ShedCostAccumulator>,
+    shed_cost: Option<CostAccumulator>,
     stats: OverloadStats,
 }
 
 impl Overload {
     pub(crate) fn new(cfg: OverloadConfig) -> Self {
-        let shed_cost = cfg.price.map(ShedCostAccumulator::new);
         Overload {
+            shed_cost: cfg.price.map(CostAccumulator::new),
             cfg,
             buckets: HashMap::new(),
             breakers: HashMap::new(),
             in_flight: HashMap::new(),
-            shed_cost,
             stats: OverloadStats::default(),
         }
     }
@@ -239,7 +236,7 @@ impl Overload {
     /// Folds one shed invocation's forfeited revenue into the ledger.
     fn price_shed(&mut self, spec: &TaskSpec) {
         if let Some(acc) = &mut self.shed_cost {
-            acc.record(spec.work + spec.io_wait, spec.mem_mib);
+            acc.record_duration(spec.work + spec.io_wait, spec.mem_mib);
         }
     }
 
@@ -302,17 +299,10 @@ impl Overload {
     ) -> bool {
         if let Some(bc) = self.cfg.breaker {
             let b = self.breakers.entry(function).or_default();
-            if probe {
-                if late {
-                    // Probe failed: re-open for another cooldown.
-                    b.open_until = Some(now_us + bc.cooldown.as_micros());
-                    self.stats.breaker_trips += 1;
-                } else {
-                    // Probe succeeded: close with a fresh window.
-                    b.open_until = None;
-                    b.outcomes.clear();
-                    b.failures = 0;
-                }
+            // A half-open probe trips on its own verdict (while open the
+            // window stays empty); others on a full window at threshold.
+            let trip = if probe {
+                late
             } else {
                 b.outcomes.push_back(late);
                 if late {
@@ -322,12 +312,16 @@ impl Overload {
                     b.failures -= 1;
                 }
                 let full = b.outcomes.len() == bc.window && bc.window > 0;
-                if full && b.failures as u64 * 100 >= u64::from(bc.trip_pct) * bc.window as u64 {
-                    b.open_until = Some(now_us + bc.cooldown.as_micros());
-                    self.stats.breaker_trips += 1;
-                    b.outcomes.clear();
-                    b.failures = 0;
-                }
+                full && b.failures as u64 * 100 >= u64::from(bc.trip_pct) * bc.window as u64
+            };
+            // Trip: open for a cooldown. Passed probe: close. Both reset.
+            if probe || trip {
+                b.open_until = trip.then(|| now_us + bc.cooldown.as_micros());
+                b.outcomes.clear();
+                b.failures = 0;
+            }
+            if trip {
+                self.stats.breaker_trips += 1;
             }
         }
         if late {
@@ -367,7 +361,7 @@ impl Overload {
         s.lost_revenue_usd = self
             .shed_cost
             .as_ref()
-            .map_or(0.0, ShedCostAccumulator::total_usd);
+            .map_or(0.0, CostAccumulator::total_usd);
         s
     }
 }

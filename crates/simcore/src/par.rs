@@ -14,6 +14,8 @@
 //! not consult the environment (benchmarks, determinism tests) can pin
 //! the fan width explicitly with [`par_map_with`].
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -41,7 +43,8 @@ fn available() -> usize {
 /// `f` receives `(index, item)`. Items are claimed from a shared counter,
 /// so long jobs do not serialize behind short ones. With one thread (or
 /// one item) everything runs on the calling thread. A panic in any job
-/// (e.g. a simulation deadlock) propagates to the caller.
+/// (e.g. a simulation deadlock) propagates to the caller with its
+/// original payload.
 ///
 /// # Examples
 ///
@@ -52,7 +55,7 @@ fn available() -> usize {
 ///
 /// # Panics
 ///
-/// Re-raises the first panic observed in a worker thread.
+/// Re-raises the panic of the lowest-index job that panicked.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -69,7 +72,8 @@ where
 ///
 /// # Panics
 ///
-/// Re-raises the first panic observed in a worker thread.
+/// Re-raises the panic of the lowest-index job that panicked, with its
+/// original payload.
 pub fn par_map_with<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -88,23 +92,43 @@ where
     let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = jobs[i]
-                    .lock()
-                    .expect("job slot poisoned")
-                    .take()
-                    .expect("job claimed twice");
-                let out = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
+    // Each worker catches its jobs' panics and reports the first one it
+    // saw (its claims ascend, so that is its lowest index). Every job
+    // still runs, so the payload re-raised below — the lowest-index
+    // panic overall — is the one the serial path would have raised.
+    let first_panic = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut first: Option<(usize, Box<dyn Any + Send>)> = None;
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return first;
+                        }
+                        let item = jobs[i]
+                            .lock()
+                            .expect("job slot poisoned")
+                            .take()
+                            .expect("job claimed twice");
+                        match panic::catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                            Ok(out) => *slots[i].lock().expect("result slot poisoned") = Some(out),
+                            Err(payload) => {
+                                first.get_or_insert((i, payload));
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .filter_map(|w| w.join().expect("worker catches its jobs' panics"))
+            .min_by_key(|&(i, _)| i)
     });
+    if let Some((_, payload)) = first_panic {
+        panic::resume_unwind(payload);
+    }
     slots
         .into_iter()
         .map(|m| {
@@ -121,7 +145,7 @@ where
 ///
 /// # Panics
 ///
-/// Re-raises the first panic observed in a worker thread.
+/// Re-raises the panic of the lowest-index job that panicked.
 pub fn run_all<R: Send>(jobs: Vec<Box<dyn FnOnce() -> R + Send + '_>>) -> Vec<R> {
     par_map(jobs, |_, job| job())
 }
@@ -173,6 +197,21 @@ mod tests {
         // Can't mutate the environment safely in parallel tests; just
         // check the fallback is sane.
         assert!(bench_threads() >= 1);
+    }
+
+    #[test]
+    fn lowest_index_panic_payload_wins_at_any_fan_width() {
+        for threads in [1, 4] {
+            let payload = std::panic::catch_unwind(|| {
+                par_map_with(threads, (0..8u32).collect(), |_, x| {
+                    assert!(x % 3 != 2, "job {x}");
+                    x
+                })
+            })
+            .expect_err("jobs 2 and 5 panic");
+            let msg = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("job 2"), "fan {threads}");
+        }
     }
 
     #[test]
