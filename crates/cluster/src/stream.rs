@@ -186,6 +186,12 @@ pub struct StreamMachineReport {
     /// Invocations killed mid-flight by kernel deadline cancellation
     /// (dispatched, partially run, never billed).
     pub cancelled: u64,
+    /// `on_core_idle` calls the machine's idle sweep made (see
+    /// [`MachineRun::idle_offers`]).
+    pub idle_offers: u64,
+    /// Idle cores the sweep skipped on the policy's `may_dispatch` hint
+    /// (see [`MachineRun::idle_offers_skipped`]).
+    pub idle_offers_skipped: u64,
 }
 
 /// Outcome of a whole streaming cluster run — O(machines × sketch)
@@ -337,6 +343,8 @@ impl<P: Scheduler> MachineState<P> {
             max_live_tasks: self.max_live,
             max_in_flight: self.run.machine().max_in_flight(),
             cancelled: self.run.machine().num_cancelled(),
+            idle_offers: self.run.idle_offers(),
+            idle_offers_skipped: self.run.idle_offers_skipped(),
             stats: self.stats,
         }
     }

@@ -5,8 +5,9 @@
 //! * dispatch decisions are byte-identical — the front end makes the
 //!   same pick sequence whether it sees the workload whole or chunked;
 //! * every exact statistic (counts, means, maxima, totals, core stats,
-//!   event counts, finish instants) and the billed dollar cost (bitwise)
-//!   match the materializing run, at streaming fan widths 1, 2 and 4;
+//!   event counts, idle-sweep counters, finish instants) and the billed
+//!   dollar cost (bitwise) match the materializing run, at streaming fan
+//!   widths 1, 2 and 4;
 //! * sketched quantiles land within the sketch's own a-posteriori
 //!   rank-error certificate of the exact nearest-rank answers;
 //! * peak live-task memory is set by the arrival rate, not the stream
@@ -208,6 +209,11 @@ where
             assert_eq!(
                 e.events_processed, s.events_processed,
                 "{what}: machine {i} event count"
+            );
+            assert_eq!(
+                (e.idle_offers, e.idle_offers_skipped),
+                (s.idle_offers, s.idle_offers_skipped),
+                "{what}: machine {i} idle-sweep counters"
             );
             assert_eq!(e.finished_at, s.finished_at, "{what}: machine {i} finish");
         }

@@ -36,6 +36,9 @@ pub(crate) struct CfsSide {
     /// `HashMap::get(..).unwrap_or(0)` behavior without hashing on the
     /// enqueue/requeue hot path.
     offsets: Vec<i64>,
+    /// Tasks queued across all member cores (kept in step with every
+    /// push and pop, so [`CfsSide::total_queued`] is O(1)).
+    queued: usize,
     sched_latency: SimDuration,
     min_granularity: SimDuration,
     /// Smallest runnable count at which the slice formula bottoms out at
@@ -52,6 +55,7 @@ impl CfsSide {
         CfsSide {
             rqs: Vec::new(),
             offsets: Vec::new(),
+            queued: 0,
             sched_latency,
             min_granularity,
             slice_floor_nr: sched_latency
@@ -72,12 +76,14 @@ impl CfsSide {
     /// Removes a core, returning its queued tasks in vruntime order.
     pub(crate) fn remove_core(&mut self, core: usize) -> Vec<TaskId> {
         match self.rqs.get_mut(core).and_then(Option::take) {
-            Some(rq) => rq
-                .queue
-                .into_sorted_vec()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect(),
+            Some(rq) => {
+                self.queued -= rq.queue.len();
+                rq.queue
+                    .into_sorted_vec()
+                    .into_iter()
+                    .map(|(_, t)| t)
+                    .collect()
+            }
             None => Vec::new(),
         }
     }
@@ -95,7 +101,16 @@ impl CfsSide {
 
     /// Total queued tasks across all member cores.
     pub(crate) fn total_queued(&self) -> usize {
-        self.rqs.iter().flatten().map(|r| r.queue.len()).sum()
+        debug_assert_eq!(
+            self.queued,
+            self.rqs
+                .iter()
+                .flatten()
+                .map(|r| r.queue.len())
+                .sum::<usize>(),
+            "queued counter out of step with the run queues"
+        );
+        self.queued
     }
 
     /// Iterates `(core, rq)` over member cores in ascending core order.
@@ -126,6 +141,7 @@ impl CfsSide {
             .expect("enqueue on member core");
         let offset = rq.min_vruntime - cpu;
         rq.queue.push((offset + cpu, task));
+        self.queued += 1;
         if self.offsets.len() <= task.index() {
             self.offsets.resize(task.index() + 1, 0);
         }
@@ -138,6 +154,7 @@ impl CfsSide {
         let vr = self.effective_vr(m, task);
         let rq = self.rq_mut(core).expect("requeue on member core");
         rq.queue.push((vr, task));
+        self.queued += 1;
     }
 
     /// Pops the smallest-vruntime task of `core` together with its slice.
@@ -147,6 +164,7 @@ impl CfsSide {
         let key = rq.queue.pop_min()?;
         rq.min_vruntime = rq.min_vruntime.max(key.0);
         let nr = rq.queue.len() as u64 + 1;
+        self.queued -= 1;
         let slice = if nr >= self.slice_floor_nr {
             // The quotient cannot exceed min_granularity here; skip the
             // division on the loaded-queue hot path.
@@ -168,13 +186,7 @@ impl CfsSide {
             .map(|(c, rq)| (c, rq.queue.len()));
         match victim {
             Some((v, len)) if len > 1 => {
-                let key = self
-                    .rq_mut(v)
-                    .expect("victim exists")
-                    .queue
-                    .take_max()
-                    .expect("non-empty");
-                self.enqueue_new(m, core, key.1);
+                self.move_max(m, v, core);
                 true
             }
             _ => false,
@@ -198,14 +210,81 @@ impl CfsSide {
             if max_len <= min_len + 1 {
                 return moved;
             }
-            let key = self
-                .rq_mut(max_c)
-                .expect("max exists")
-                .queue
-                .take_max()
-                .expect("non-empty");
-            self.enqueue_new(m, min_c, key.1);
+            self.move_max(m, max_c, min_c);
             moved += 1;
         }
+    }
+
+    /// Moves the largest-vruntime task of `from` to `to`, enqueued fresh
+    /// there.
+    fn move_max(&mut self, m: &Machine, from: usize, to: usize) {
+        let (_, task) = self
+            .rq_mut(from)
+            .expect("source is a member")
+            .queue
+            .take_max()
+            .expect("non-empty");
+        self.queued -= 1;
+        self.enqueue_new(m, to, task);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use faas_kernel::{MachineConfig, TaskSpec};
+    use faas_simcore::check;
+    use faas_simcore::SimTime;
+
+    /// The O(1) `queued` counter equals the brute-force sum of the run
+    /// queue lengths after every step of a random sequence over all the
+    /// queue-changing operations, membership churn included.
+    #[test]
+    fn queued_counter_matches_brute_force_sum() {
+        const CORES: usize = 6;
+        const TASKS: usize = 24;
+        check::run("queued_counter_matches_brute_force_sum", 64, |g| {
+            let specs: Vec<TaskSpec> = (0..TASKS)
+                .map(|_| TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(10), 128))
+                .collect();
+            let m = Machine::new(MachineConfig::new(CORES), specs);
+            let mut cfs = CfsSide::new(SimDuration::from_millis(24), SimDuration::from_millis(3));
+            // Tasks not in any run queue.
+            let mut free: Vec<TaskId> = (0..TASKS).map(TaskId::from_index).collect();
+            let members =
+                |cfs: &CfsSide| -> Vec<usize> { (0..CORES).filter(|&c| cfs.has_core(c)).collect() };
+            for _ in 0..g.usize_in(1, 120) {
+                let live = members(&cfs);
+                let op = g.usize_in(0, 7);
+                match op {
+                    0 | 1 if !live.is_empty() && !free.is_empty() => {
+                        let core = live[g.usize_in(0, live.len())];
+                        let task = free.swap_remove(g.usize_in(0, free.len()));
+                        if op == 0 {
+                            cfs.enqueue_new(&m, core, task);
+                        } else {
+                            cfs.requeue(&m, core, task);
+                        }
+                    }
+                    2 if !live.is_empty() => {
+                        if let Some((task, _)) = cfs.pop(live[g.usize_in(0, live.len())]) {
+                            free.push(task);
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        cfs.steal_into(&m, live[g.usize_in(0, live.len())]);
+                    }
+                    4 => {
+                        cfs.balance(&m);
+                    }
+                    5 => cfs.add_core(g.usize_in(0, CORES)),
+                    6 => free.extend(cfs.remove_core(g.usize_in(0, CORES))),
+                    _ => {}
+                }
+                let brute: usize = cfs.rqs.iter().flatten().map(|r| r.queue.len()).sum();
+                assert_eq!(cfs.total_queued(), brute, "after op {op}");
+                assert_eq!(brute + free.len(), TASKS, "a task was lost or duplicated");
+            }
+        });
     }
 }

@@ -441,6 +441,16 @@ impl Scheduler for HybridScheduler {
         }
     }
 
+    fn may_dispatch(&self, core: CoreId) -> bool {
+        match self.group_of[core.index()] {
+            Group::Fifo => !self.fifo_queue.is_empty(),
+            // `steal_into` only takes from a sibling queue holding more
+            // than one task, so with an empty own queue and fewer than
+            // two queued in total the offer is a no-op.
+            Group::Cfs => self.cfs.queue_len(core.index()) > 0 || self.cfs.total_queued() >= 2,
+        }
+    }
+
     fn on_tick(&mut self, m: &mut Machine) {
         let Some(controller) = &self.controller else {
             return;

@@ -395,8 +395,14 @@ impl Machine {
         }
     }
 
-    /// Arms the periodic [`PolicyCall::Tick`]; used by the simulation driver.
-    pub(crate) fn arm_tick(&mut self, every: SimDuration) {
+    /// Arms the periodic [`PolicyCall::Tick`]. A driver calls this once,
+    /// before the first [`Machine::advance`], when its policy asks for
+    /// ticks ([`MachineRun`](crate::MachineRun) does so itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every` is zero.
+    pub fn arm_tick(&mut self, every: SimDuration) {
         assert!(!every.is_zero(), "tick interval must be positive");
         self.tick_every = Some(every);
         self.events

@@ -23,15 +23,17 @@ use crate::task::{Task, TaskId, TaskSpec};
 /// The driver guarantees:
 ///
 /// * every callback runs with exclusive access to the [`Machine`];
-/// * after every kernel event that delivers a policy callback,
-///   [`Scheduler::on_core_idle`] is invoked once for each core that is
-///   idle at that point (in core-id order), so a policy only needs to
-///   react locally;
+/// * after every kernel event that delivers a policy callback, each core
+///   that is idle at that point is considered once (in core-id order)
+///   and offered through [`Scheduler::on_core_idle`] unless
+///   [`Scheduler::may_dispatch`] says the offer cannot do anything, so a
+///   policy only needs to react locally;
 /// * the sweep is skipped only when it provably cannot matter: after a
 ///   kernel-internal event (no callback ran) when additionally no core
-///   became idle since the last sweep and that sweep made no offer at
-///   all — so the policy's decision inputs are exactly those it already
-///   declined under;
+///   became idle since the last sweep and that sweep made no
+///   `on_core_idle` call at all — so the policy's decision inputs are
+///   exactly those it already declined under, or that `may_dispatch`
+///   already ruled out;
 /// * a task handed over in `on_slice_expired` / `on_interference_preempt`
 ///   is in the `Preempted` state and is *owned by the policy* until it is
 ///   dispatched again — the kernel will never move it.
@@ -52,6 +54,27 @@ pub trait Scheduler {
 
     /// A core has nothing to run. Dispatch here if work is queued.
     fn on_core_idle(&mut self, m: &mut Machine, core: CoreId);
+
+    /// Whether offering the idle `core` could do anything. The idle sweep
+    /// skips [`Scheduler::on_core_idle`] for a core when this is `false`;
+    /// the default `true` offers every idle core.
+    ///
+    /// Contract:
+    ///
+    /// * `false` is allowed only when `on_core_idle(m, core)` would
+    ///   change neither the policy nor the machine, in any machine state;
+    /// * the answer may depend on policy state only (never on the
+    ///   machine), so it cannot change across kernel-internal events —
+    ///   which is what lets the sweep stay skipped after them while idle
+    ///   cores remain that were never offered.
+    ///
+    /// A delegating wrapper should forward this method; one that does
+    /// not falls back to offering every idle core, which changes no
+    /// output and costs only speed.
+    fn may_dispatch(&self, core: CoreId) -> bool {
+        let _ = core;
+        true
+    }
 
     /// A task finished (`MSG_TASK_DEAD`). Default: no-op.
     fn on_task_finished(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
@@ -128,6 +151,13 @@ pub struct SlimReport {
     pub max_in_flight: u64,
     /// Tasks cancelled past their deadline (see [`Machine::num_cancelled`]).
     pub cancelled: u64,
+    /// `on_core_idle` calls the idle sweep made (see
+    /// [`MachineRun::idle_offers`]).
+    pub idle_offers: u64,
+    /// Idle cores the sweep skipped on the policy's
+    /// [`Scheduler::may_dispatch`] hint (see
+    /// [`MachineRun::idle_offers_skipped`]).
+    pub idle_offers_skipped: u64,
 }
 
 impl SlimReport {
@@ -167,6 +197,11 @@ pub struct MachineRun<P> {
     /// may mutate policy state even when declined, so the next event must
     /// re-sweep; only an offer-free quiescent state allows skipping.
     last_sweep_offered: bool,
+    /// `on_core_idle` calls made so far.
+    idle_offers: u64,
+    /// Idle cores the sweep considered but did not offer because
+    /// [`Scheduler::may_dispatch`] said no.
+    idle_offers_skipped: u64,
 }
 
 impl<P: Scheduler> MachineRun<P> {
@@ -187,6 +222,8 @@ impl<P: Scheduler> MachineRun<P> {
             step: 0,
             swept_transitions: 0,
             last_sweep_offered: false,
+            idle_offers: 0,
+            idle_offers_skipped: 0,
         }
     }
 
@@ -198,6 +235,17 @@ impl<P: Scheduler> MachineRun<P> {
     /// Read access to the policy mid-run.
     pub fn policy(&self) -> &P {
         &self.policy
+    }
+
+    /// `on_core_idle` calls the idle sweep has made so far.
+    pub fn idle_offers(&self) -> u64 {
+        self.idle_offers
+    }
+
+    /// Idle cores the sweep has skipped so far because
+    /// [`Scheduler::may_dispatch`] ruled the offer out.
+    pub fn idle_offers_skipped(&self) -> u64 {
+        self.idle_offers_skipped
     }
 
     /// Feeds more task specs mid-run (the chunked cluster feed; see
@@ -280,7 +328,9 @@ impl<P: Scheduler> MachineRun<P> {
         // idle bitset into a reusable buffer — no allocation and no
         // O(all cores) scan. Cores freed by preempts made during the
         // sweep itself are picked up in follow-up passes, each core
-        // offered at most once per event.
+        // considered at most once per event. A considered core is only
+        // offered if `may_dispatch` allows it; it is stamped either way,
+        // so follow-up passes see the same cores as without the hint.
         if delivered
             || self.machine.idle_transitions() != self.swept_transitions
             || self.last_sweep_offered
@@ -300,8 +350,7 @@ impl<P: Scheduler> MachineRun<P> {
                     let core = self.machine.first_idle_core().expect("one idle core");
                     if self.swept_at[core.index()] != self.step {
                         self.swept_at[core.index()] = self.step;
-                        pass_offered = true;
-                        self.policy.on_core_idle(&mut self.machine, core);
+                        pass_offered = self.offer(core);
                     }
                 } else {
                     self.sweep_buf.clear();
@@ -312,8 +361,7 @@ impl<P: Scheduler> MachineRun<P> {
                             && self.swept_at[core.index()] != self.step
                         {
                             self.swept_at[core.index()] = self.step;
-                            pass_offered = true;
-                            self.policy.on_core_idle(&mut self.machine, core);
+                            pass_offered |= self.offer(core);
                         }
                     }
                 }
@@ -328,6 +376,19 @@ impl<P: Scheduler> MachineRun<P> {
             self.last_sweep_offered = offered;
         }
         Ok(true)
+    }
+
+    /// Offers the idle `core` to the policy unless
+    /// [`Scheduler::may_dispatch`] rules it out; returns whether
+    /// `on_core_idle` ran.
+    fn offer(&mut self, core: CoreId) -> bool {
+        if !self.policy.may_dispatch(core) {
+            self.idle_offers_skipped += 1;
+            return false;
+        }
+        self.idle_offers += 1;
+        self.policy.on_core_idle(&mut self.machine, core);
+        true
     }
 
     /// Runs to completion, returning the full report (keeps the machine).
@@ -377,6 +438,8 @@ impl<P: Scheduler> MachineRun<P> {
             messages,
             max_in_flight,
             cancelled,
+            idle_offers: self.idle_offers,
+            idle_offers_skipped: self.idle_offers_skipped,
         })
     }
 

@@ -13,6 +13,10 @@ use faas_simcore::{SimDuration, SimTime};
 
 use faas_simcore::SimDuration as Dur;
 
+#[path = "common/brute_force.rs"]
+mod brute_force;
+use brute_force::run_brute_force;
+
 /// A deterministic chaos agent driven by an LCG.
 struct Chaos {
     runnable: Vec<TaskId>,
@@ -73,6 +77,11 @@ impl Scheduler for Chaos {
         };
         m.dispatch(core, task, slice)
             .expect("dispatch on idle core");
+    }
+    /// Exact: an offer with nothing runnable returns before touching the
+    /// LCG or the machine, so the batched sweep's skip path runs here.
+    fn may_dispatch(&self, _core: CoreId) -> bool {
+        !self.runnable.is_empty()
     }
 }
 
@@ -292,46 +301,10 @@ fn incremental_idle_set_matches_brute_force() {
 
 /// The batched idle sweep in `Simulation::step` (which skips the sweep
 /// after internal events when no core became idle and the last sweep
-/// made no offer) is observationally equivalent to the brute-force
-/// driver it replaced: advance the machine, deliver the callback, then
-/// unconditionally offer every idle core in id order after every event.
+/// made no offer, and skips each offer `may_dispatch` rules out) is
+/// observationally equivalent to the brute-force driver it replaced.
 #[test]
 fn batched_sweep_equals_brute_force_driver() {
-    /// The pre-batching driver, re-implemented over the public API.
-    fn run_brute_force(
-        cfg: MachineConfig,
-        specs: Vec<TaskSpec>,
-        mut policy: Chaos,
-    ) -> faas_kernel::Machine {
-        let mut m = Machine::new(cfg, specs);
-        loop {
-            let call = match m.advance().expect("no deadlock") {
-                Some(c) => c,
-                None => return m,
-            };
-            match call {
-                faas_kernel::PolicyCall::TaskNew(t) => policy.on_task_new(&mut m, t),
-                faas_kernel::PolicyCall::TaskFinished(t, c) => {
-                    policy.on_task_finished(&mut m, t, c)
-                }
-                faas_kernel::PolicyCall::SliceExpired(t, c) => {
-                    policy.on_slice_expired(&mut m, t, c)
-                }
-                faas_kernel::PolicyCall::InterferencePreempt(t, c) => {
-                    policy.on_interference_preempt(&mut m, t, c)
-                }
-                faas_kernel::PolicyCall::Tick => policy.on_tick(&mut m),
-                faas_kernel::PolicyCall::Internal => {}
-            }
-            for i in 0..m.num_cores() {
-                let core = CoreId::from_index(i);
-                if m.core_state(core) == CoreState::Idle {
-                    policy.on_core_idle(&mut m, core);
-                }
-            }
-        }
-    }
-
     check::run("batched_sweep_equals_brute_force_driver", 48, |g| {
         let specs = arb_specs(g);
         let cores = g.usize_in(1, 5);
@@ -357,7 +330,7 @@ fn batched_sweep_equals_brute_force_driver() {
         let batched = Simulation::new(make_cfg(), specs.clone(), Chaos::new(seed, preempt_bias))
             .run()
             .expect("batched driver completes");
-        let brute = run_brute_force(make_cfg(), specs, Chaos::new(seed, preempt_bias));
+        let (brute, _) = run_brute_force(make_cfg(), specs, Chaos::new(seed, preempt_bias));
         assert_eq!(
             batched.machine.messages(),
             brute.messages(),

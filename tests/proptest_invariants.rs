@@ -80,6 +80,9 @@ impl Scheduler for Boxed {
     fn on_core_idle(&mut self, m: &mut Machine, c: serverless_hybrid_sched::kernel::CoreId) {
         self.0.on_core_idle(m, c)
     }
+    fn may_dispatch(&self, c: serverless_hybrid_sched::kernel::CoreId) -> bool {
+        self.0.may_dispatch(c)
+    }
     fn on_tick(&mut self, m: &mut Machine) {
         self.0.on_tick(m)
     }
