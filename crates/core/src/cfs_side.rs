@@ -39,6 +39,12 @@ pub(crate) struct CfsSide {
     /// Tasks queued across all member cores (kept in step with every
     /// push and pop, so [`CfsSide::total_queued`] is O(1)).
     queued: usize,
+    /// Member queues holding two or more tasks — exactly the queues
+    /// `steal_into` may take from (see [`CfsSide::crowded`]).
+    crowded: usize,
+    /// Sum of the core indices of all queued tasks: the lone task's core
+    /// when `queued == 1` (see [`CfsSide::lone_core`]).
+    core_sum: usize,
     sched_latency: SimDuration,
     min_granularity: SimDuration,
     /// Smallest runnable count at which the slice formula bottoms out at
@@ -56,6 +62,8 @@ impl CfsSide {
             rqs: Vec::new(),
             offsets: Vec::new(),
             queued: 0,
+            crowded: 0,
+            core_sum: 0,
             sched_latency,
             min_granularity,
             slice_floor_nr: sched_latency
@@ -77,7 +85,10 @@ impl CfsSide {
     pub(crate) fn remove_core(&mut self, core: usize) -> Vec<TaskId> {
         match self.rqs.get_mut(core).and_then(Option::take) {
             Some(rq) => {
-                self.queued -= rq.queue.len();
+                let len = rq.queue.len();
+                self.queued -= len;
+                self.core_sum -= core * len;
+                self.crowded -= usize::from(len >= 2);
                 rq.queue
                     .into_sorted_vec()
                     .into_iter()
@@ -113,6 +124,45 @@ impl CfsSide {
         self.queued
     }
 
+    /// Member queues holding two or more tasks. With an empty own queue,
+    /// `steal_into` succeeds iff this is non-zero.
+    pub(crate) fn crowded(&self) -> usize {
+        debug_assert_eq!(
+            self.crowded,
+            self.members().filter(|(_, r)| r.queue.len() >= 2).count(),
+            "crowded counter out of step with the run queues"
+        );
+        self.crowded
+    }
+
+    /// The core whose queue holds the only queued task. Meaningful only
+    /// when [`CfsSide::total_queued`] is 1.
+    pub(crate) fn lone_core(&self) -> usize {
+        debug_assert_eq!(self.queued, 1, "lone_core needs exactly one queued task");
+        debug_assert_eq!(
+            Some(self.core_sum),
+            self.members()
+                .find(|(_, r)| !r.queue.is_empty())
+                .map(|(c, _)| c),
+            "core sum out of step with the run queues"
+        );
+        self.core_sum
+    }
+
+    /// Books a push onto `core`'s queue, which now holds `len` tasks.
+    fn pushed(&mut self, core: usize, len: usize) {
+        self.queued += 1;
+        self.core_sum += core;
+        self.crowded += usize::from(len == 2);
+    }
+
+    /// Books a pop off `core`'s queue, which now holds `len` tasks.
+    fn popped(&mut self, core: usize, len: usize) {
+        self.queued -= 1;
+        self.core_sum -= core;
+        self.crowded -= usize::from(len == 1);
+    }
+
     /// Iterates `(core, rq)` over member cores in ascending core order.
     fn members(&self) -> impl Iterator<Item = (usize, &Rq)> {
         self.rqs
@@ -141,7 +191,8 @@ impl CfsSide {
             .expect("enqueue on member core");
         let offset = rq.min_vruntime - cpu;
         rq.queue.push((offset + cpu, task));
-        self.queued += 1;
+        let len = rq.queue.len();
+        self.pushed(core, len);
         if self.offsets.len() <= task.index() {
             self.offsets.resize(task.index() + 1, 0);
         }
@@ -154,7 +205,8 @@ impl CfsSide {
         let vr = self.effective_vr(m, task);
         let rq = self.rq_mut(core).expect("requeue on member core");
         rq.queue.push((vr, task));
-        self.queued += 1;
+        let len = rq.queue.len();
+        self.pushed(core, len);
     }
 
     /// Pops the smallest-vruntime task of `core` together with its slice.
@@ -163,8 +215,9 @@ impl CfsSide {
         let rq = self.rq_mut(core)?;
         let key = rq.queue.pop_min()?;
         rq.min_vruntime = rq.min_vruntime.max(key.0);
-        let nr = rq.queue.len() as u64 + 1;
-        self.queued -= 1;
+        let len = rq.queue.len();
+        self.popped(core, len);
+        let nr = len as u64 + 1;
         let slice = if nr >= self.slice_floor_nr {
             // The quotient cannot exceed min_granularity here; skip the
             // division on the loaded-queue hot path.
@@ -179,6 +232,10 @@ impl CfsSide {
     /// (length > 1) and enqueues it fresh on `core`. Returns whether a
     /// steal happened.
     pub(crate) fn steal_into(&mut self, m: &Machine, core: usize) -> bool {
+        if self.crowded == 0 {
+            // No queue holds a task to spare: skip the scan.
+            return false;
+        }
         let victim = self
             .members()
             .filter(|&(c, _)| c != core)
@@ -218,13 +275,10 @@ impl CfsSide {
     /// Moves the largest-vruntime task of `from` to `to`, enqueued fresh
     /// there.
     fn move_max(&mut self, m: &Machine, from: usize, to: usize) {
-        let (_, task) = self
-            .rq_mut(from)
-            .expect("source is a member")
-            .queue
-            .take_max()
-            .expect("non-empty");
-        self.queued -= 1;
+        let rq = self.rq_mut(from).expect("source is a member");
+        let (_, task) = rq.queue.take_max().expect("non-empty");
+        let len = rq.queue.len();
+        self.popped(from, len);
         self.enqueue_new(m, to, task);
     }
 }
@@ -236,9 +290,12 @@ mod tests {
     use faas_simcore::check;
     use faas_simcore::SimTime;
 
-    /// The O(1) `queued` counter equals the brute-force sum of the run
-    /// queue lengths after every step of a random sequence over all the
-    /// queue-changing operations, membership churn included.
+    /// The O(1) counters match a brute-force recount of the run queues
+    /// after every step of a random sequence over all the queue-changing
+    /// operations, membership churn included: `queued` is the sum of the
+    /// lengths, `crowded` the number of queues holding two or more tasks,
+    /// and with one task queued `lone_core` names the queue holding it.
+    /// A steal happens exactly when some other queue holds two or more.
     #[test]
     fn queued_counter_matches_brute_force_sum() {
         const CORES: usize = 6;
@@ -272,7 +329,14 @@ mod tests {
                         }
                     }
                     3 if !live.is_empty() => {
-                        cfs.steal_into(&m, live[g.usize_in(0, live.len())]);
+                        let core = live[g.usize_in(0, live.len())];
+                        let max_other = live
+                            .iter()
+                            .filter(|&&c| c != core)
+                            .map(|&c| cfs.queue_len(c))
+                            .max();
+                        let stole = cfs.steal_into(&m, core);
+                        assert_eq!(stole, max_other > Some(1), "steal outcome");
                     }
                     4 => {
                         cfs.balance(&m);
@@ -281,8 +345,18 @@ mod tests {
                     6 => free.extend(cfs.remove_core(g.usize_in(0, CORES))),
                     _ => {}
                 }
-                let brute: usize = cfs.rqs.iter().flatten().map(|r| r.queue.len()).sum();
+                let lens: Vec<(usize, usize)> = (0..CORES)
+                    .filter(|&c| cfs.has_core(c))
+                    .map(|c| (c, cfs.queue_len(c)))
+                    .collect();
+                let brute: usize = lens.iter().map(|&(_, n)| n).sum();
                 assert_eq!(cfs.total_queued(), brute, "after op {op}");
+                let crowded = lens.iter().filter(|&&(_, n)| n >= 2).count();
+                assert_eq!(cfs.crowded(), crowded, "crowded after op {op}");
+                if brute == 1 {
+                    let lone = lens.iter().find(|&&(_, n)| n == 1).map(|&(c, _)| c);
+                    assert_eq!(Some(cfs.lone_core()), lone, "lone core after op {op}");
+                }
                 assert_eq!(brute + free.len(), TASKS, "a task was lost or duplicated");
             }
         });

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use faas_kernel::{CoreId, CoreState, Machine, Scheduler, TaskId};
+use faas_kernel::{CoreId, CoreState, Machine, OfferScope, Scheduler, TaskId};
 use faas_simcore::{SimDuration, SimTime};
 
 use crate::cfs_side::CfsSide;
@@ -444,10 +444,22 @@ impl Scheduler for HybridScheduler {
     fn may_dispatch(&self, core: CoreId) -> bool {
         match self.group_of[core.index()] {
             Group::Fifo => !self.fifo_queue.is_empty(),
-            // `steal_into` only takes from a sibling queue holding more
-            // than one task, so with an empty own queue and fewer than
-            // two queued in total the offer is a no-op.
-            Group::Cfs => self.cfs.queue_len(core.index()) > 0 || self.cfs.total_queued() >= 2,
+            // With an empty own queue the offer only acts if `steal_into`
+            // finds a member queue holding more than one task.
+            Group::Cfs => self.cfs.queue_len(core.index()) > 0 || self.cfs.crowded() > 0,
+        }
+    }
+
+    fn offer_scope(&self) -> OfferScope {
+        if !self.fifo_queue.is_empty() || self.cfs.crowded() > 0 {
+            return OfferScope::PerCore;
+        }
+        // No FIFO work and nothing to steal: only a CFS core with a task
+        // of its own queued could use an offer.
+        match self.cfs.total_queued() {
+            0 => OfferScope::Nowhere,
+            1 => OfferScope::Only(CoreId::from_index(self.cfs.lone_core())),
+            _ => OfferScope::PerCore,
         }
     }
 

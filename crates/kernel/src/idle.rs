@@ -43,8 +43,14 @@ impl IdleSet {
         set
     }
 
+    /// Number of words (one per 64 cores, at least one).
+    pub(crate) fn words(&self) -> usize {
+        self.rest.len() + 1
+    }
+
+    /// Word `w`: bit `b` is set iff core `64 * w + b` is idle.
     #[inline]
-    fn word(&self, w: usize) -> u64 {
+    pub(crate) fn word(&self, w: usize) -> u64 {
         if w == 0 {
             self.word0
         } else {
@@ -94,14 +100,6 @@ impl IdleSet {
         self.count -= 1;
     }
 
-    /// The lowest-numbered idle core, if any. One bit scan for machines
-    /// up to 64 cores — the driver's fast path when exactly one core is
-    /// idle (the common state of a loaded simulation).
-    #[inline]
-    pub(crate) fn first(&self) -> Option<CoreId> {
-        self.iter().next()
-    }
-
     /// Iterates the idle cores in ascending id order without allocating.
     #[inline]
     pub(crate) fn iter(&self) -> IdleIter<'_> {
@@ -110,12 +108,6 @@ impl IdleSet {
             word_idx: 0,
             current: self.word0,
         }
-    }
-
-    /// Appends the idle cores to `buf` in ascending id order (the
-    /// allocation-free snapshot the simulation driver sweeps over).
-    pub(crate) fn fill(&self, buf: &mut Vec<CoreId>) {
-        buf.extend(self.iter());
     }
 }
 
@@ -195,21 +187,5 @@ mod tests {
         assert!(set.contains(CoreId::from_index(127)));
         assert!(set.contains(CoreId::from_index(64)));
         assert!(set.contains(CoreId::from_index(63)));
-    }
-
-    #[test]
-    fn fill_appends_in_order() {
-        let mut set = IdleSet::all_idle(4);
-        set.remove(CoreId::from_index(2));
-        let mut buf = Vec::new();
-        set.fill(&mut buf);
-        assert_eq!(
-            buf,
-            vec![
-                CoreId::from_index(0),
-                CoreId::from_index(1),
-                CoreId::from_index(3)
-            ]
-        );
     }
 }

@@ -69,6 +69,6 @@ pub use machine::{
     InterferenceConfig, Machine, MachineConfig, PolicyCall, SchedError, SimError, StormWindow,
 };
 pub use message::KernelMessage;
-pub use sched::{MachineRun, Scheduler, SimReport, Simulation, SlimReport};
+pub use sched::{MachineRun, OfferScope, Scheduler, SimReport, Simulation, SlimReport};
 pub use task::{PlacementHint, Task, TaskId, TaskSpec, TaskState};
 pub use util::UtilizationLedger;

@@ -504,19 +504,6 @@ impl Machine {
         self.idle.len()
     }
 
-    /// The lowest-numbered idle core, if any (one bit scan). The driver's
-    /// allocation- and buffer-free path for the common "exactly one core
-    /// just went idle" sweep.
-    pub fn first_idle_core(&self) -> Option<CoreId> {
-        self.idle.first()
-    }
-
-    /// Appends the idle cores to `buf` in ascending id order without
-    /// allocating (the snapshot the simulation driver sweeps over).
-    pub fn fill_idle_cores(&self, buf: &mut Vec<CoreId>) {
-        self.idle.fill(buf);
-    }
-
     /// The task running on `core` and the length of its current run
     /// segment, if any. O(1): a direct core-record lookup.
     pub fn running_on(&self, core: CoreId) -> Option<(TaskId, SimDuration)> {
@@ -1161,8 +1148,21 @@ impl Machine {
 
     /// Monotonic count of busy→idle transitions (the driver's batching
     /// signal: unchanged counter ⇒ no core became idle ⇒ no sweep needed).
-    pub(crate) fn idle_transitions(&self) -> u64 {
+    pub fn idle_transitions(&self) -> u64 {
         self.idle_transitions
+    }
+
+    /// Number of 64-bit words in the idle bitset (see
+    /// [`Machine::idle_word`]).
+    pub(crate) fn idle_words(&self) -> usize {
+        self.idle.words()
+    }
+
+    /// Word `w` of the idle bitset: bit `b` is set iff core `64 * w + b`
+    /// is idle. The driver's sweep settles whole words of cores at once.
+    #[inline]
+    pub(crate) fn idle_word(&self, w: usize) -> u64 {
+        self.idle.word(w)
     }
 
     /// Appends to the kernel message log when enabled. Inlined so the

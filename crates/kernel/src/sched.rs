@@ -13,7 +13,7 @@ use std::borrow::Cow;
 
 use faas_simcore::{SimDuration, SimTime};
 
-use crate::core::{CoreId, CoreState, CoreStats};
+use crate::core::{CoreId, CoreStats};
 use crate::machine::{Machine, MachineConfig, PolicyCall, SimError};
 use crate::message::KernelMessage;
 use crate::task::{Task, TaskId, TaskSpec};
@@ -25,15 +25,19 @@ use crate::task::{Task, TaskId, TaskSpec};
 /// * every callback runs with exclusive access to the [`Machine`];
 /// * after every kernel event that delivers a policy callback, each core
 ///   that is idle at that point is considered once (in core-id order)
-///   and offered through [`Scheduler::on_core_idle`] unless
-///   [`Scheduler::may_dispatch`] says the offer cannot do anything, so a
-///   policy only needs to react locally;
+///   and offered through [`Scheduler::on_core_idle`] unless the policy's
+///   hints say the offer cannot do anything, so a policy only needs to
+///   react locally. The hints are [`Scheduler::offer_scope`] (one answer
+///   for the whole machine) and [`Scheduler::may_dispatch`] (asked core
+///   by core for the cores that answer leaves open);
+/// * cores freed during the sweep itself are considered in follow-up
+///   passes; no core is considered twice for one event;
 /// * the sweep is skipped only when it provably cannot matter: after a
 ///   kernel-internal event (no callback ran) when additionally no core
 ///   became idle since the last sweep and that sweep made no
 ///   `on_core_idle` call at all — so the policy's decision inputs are
-///   exactly those it already declined under, or that `may_dispatch`
-///   already ruled out;
+///   exactly those it already declined under, or that its hints already
+///   ruled out;
 /// * a task handed over in `on_slice_expired` / `on_interference_preempt`
 ///   is in the `Preempted` state and is *owned by the policy* until it is
 ///   dispatched again — the kernel will never move it.
@@ -76,6 +80,27 @@ pub trait Scheduler {
         true
     }
 
+    /// Which idle cores an offer could be useful on, answered once for
+    /// the whole machine so the sweep can settle most idle cores without
+    /// asking [`Scheduler::may_dispatch`] for each. The default
+    /// [`OfferScope::PerCore`] asks core by core.
+    ///
+    /// Contract:
+    ///
+    /// * [`OfferScope::Nowhere`] promises that `may_dispatch` is `false`
+    ///   for every core, and [`OfferScope::Only(k)`](OfferScope::Only)
+    ///   that it is `false` for every core except `k`;
+    /// * like `may_dispatch`, the answer may depend on policy state only,
+    ///   never on the machine.
+    ///
+    /// The driver checks every `Only` and `Nowhere` answer against
+    /// `may_dispatch` in debug builds. A delegating wrapper that does not
+    /// forward this method falls back to the per-core walk, which changes
+    /// no output and costs only speed.
+    fn offer_scope(&self) -> OfferScope {
+        OfferScope::PerCore
+    }
+
     /// A task finished (`MSG_TASK_DEAD`). Default: no-op.
     fn on_task_finished(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
         let _ = (m, task, core);
@@ -91,6 +116,18 @@ pub trait Scheduler {
     fn on_tick(&mut self, m: &mut Machine) {
         let _ = m;
     }
+}
+
+/// A policy's whole-machine answer to "which idle cores could an offer
+/// be useful on?" (see [`Scheduler::offer_scope`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OfferScope {
+    /// No single answer: ask [`Scheduler::may_dispatch`] core by core.
+    PerCore,
+    /// `may_dispatch` is `false` for every core except this one.
+    Only(CoreId),
+    /// `may_dispatch` is `false` for every core.
+    Nowhere,
 }
 
 /// Outcome of a completed simulation run.
@@ -154,8 +191,7 @@ pub struct SlimReport {
     /// `on_core_idle` calls the idle sweep made (see
     /// [`MachineRun::idle_offers`]).
     pub idle_offers: u64,
-    /// Idle cores the sweep skipped on the policy's
-    /// [`Scheduler::may_dispatch`] hint (see
+    /// Idle cores the sweep skipped on the policy's hints (see
     /// [`MachineRun::idle_offers_skipped`]).
     pub idle_offers_skipped: u64,
 }
@@ -184,12 +220,13 @@ impl SlimReport {
 pub struct MachineRun<P> {
     machine: Machine,
     policy: P,
-    /// Reusable scratch for the idle sweep (no per-event allocation).
-    sweep_buf: Vec<CoreId>,
-    /// Per-core stamp of the last step a core was offered to the policy,
-    /// bounding each core to one `on_core_idle` call per event.
-    swept_at: Vec<u64>,
-    step: u64,
+    /// Cores the current event's sweep has considered (offered or
+    /// skipped), one bit per core in the idle set's word layout; bounds
+    /// each core to one `on_core_idle` call per event.
+    considered: Vec<u64>,
+    /// The current pass's candidates: cores idle when the pass started
+    /// and not yet considered for this event.
+    pass: Vec<u64>,
     /// [`Machine::idle_transitions`] at the end of the previous sweep; an
     /// unchanged counter means no core became idle since.
     swept_transitions: u64,
@@ -199,8 +236,8 @@ pub struct MachineRun<P> {
     last_sweep_offered: bool,
     /// `on_core_idle` calls made so far.
     idle_offers: u64,
-    /// Idle cores the sweep considered but did not offer because
-    /// [`Scheduler::may_dispatch`] said no.
+    /// Idle cores the sweep considered but did not offer because the
+    /// policy's hints ruled the offer out.
     idle_offers_skipped: u64,
 }
 
@@ -213,13 +250,12 @@ impl<P: Scheduler> MachineRun<P> {
         if let Some(every) = policy.tick_interval() {
             machine.arm_tick(every);
         }
-        let cores = machine.num_cores();
+        let words = machine.idle_words();
         MachineRun {
             machine,
             policy,
-            sweep_buf: Vec::with_capacity(cores),
-            swept_at: vec![0; cores],
-            step: 0,
+            considered: vec![0; words],
+            pass: vec![0; words],
             swept_transitions: 0,
             last_sweep_offered: false,
             idle_offers: 0,
@@ -242,8 +278,8 @@ impl<P: Scheduler> MachineRun<P> {
         self.idle_offers
     }
 
-    /// Idle cores the sweep has skipped so far because
-    /// [`Scheduler::may_dispatch`] ruled the offer out.
+    /// Idle cores the sweep has skipped so far because the policy's
+    /// hints ruled the offer out.
     pub fn idle_offers_skipped(&self) -> u64 {
         self.idle_offers_skipped
     }
@@ -305,7 +341,6 @@ impl<P: Scheduler> MachineRun<P> {
             Some(c) => c,
             None => return Ok(false),
         };
-        self.step += 1;
         let m = &mut self.machine;
         let delivered = !matches!(call, PolicyCall::Internal);
         match call {
@@ -324,71 +359,147 @@ impl<P: Scheduler> MachineRun<P> {
         // hybrid agent migrates over-limit tasks between its queues while
         // declining a core). In the common loaded phases of a simulation
         // every core is busy and completions arrive stale, so whole
-        // swaths of events skip the sweep; when it does run, it walks the
-        // idle bitset into a reusable buffer — no allocation and no
-        // O(all cores) scan. Cores freed by preempts made during the
-        // sweep itself are picked up in follow-up passes, each core
-        // considered at most once per event. A considered core is only
-        // offered if `may_dispatch` allows it; it is stamped either way,
-        // so follow-up passes see the same cores as without the hint.
+        // swaths of events skip the sweep.
         if delivered
             || self.machine.idle_transitions() != self.swept_transitions
             || self.last_sweep_offered
         {
-            let mut offered = false;
-            loop {
-                let idle_now = self.machine.num_idle_cores();
-                if idle_now == 0 {
-                    break;
+            let offered = match self.machine.num_idle_cores() {
+                0 => false,
+                1 => self.sweep_lone_idle_core(),
+                _ => {
+                    self.considered.fill(0);
+                    self.sweep_passes()
                 }
-                let pass_transitions = self.machine.idle_transitions();
-                let mut pass_offered = false;
-                if idle_now == 1 {
-                    // Fast path for the loaded steady state: exactly one
-                    // core just went idle — offer it straight off the
-                    // bitset, no snapshot buffer walk.
-                    let core = self.machine.first_idle_core().expect("one idle core");
-                    if self.swept_at[core.index()] != self.step {
-                        self.swept_at[core.index()] = self.step;
-                        pass_offered = self.offer(core);
-                    }
-                } else {
-                    self.sweep_buf.clear();
-                    self.machine.fill_idle_cores(&mut self.sweep_buf);
-                    for i in 0..self.sweep_buf.len() {
-                        let core = self.sweep_buf[i];
-                        if self.machine.core_state(core) == CoreState::Idle
-                            && self.swept_at[core.index()] != self.step
-                        {
-                            self.swept_at[core.index()] = self.step;
-                            pass_offered |= self.offer(core);
-                        }
-                    }
-                }
-                offered |= pass_offered;
-                // Another pass only if a core was freed during this one
-                // (each core is still offered at most once per event).
-                if !pass_offered || self.machine.idle_transitions() == pass_transitions {
-                    break;
-                }
-            }
+            };
             self.swept_transitions = self.machine.idle_transitions();
             self.last_sweep_offered = offered;
         }
         Ok(true)
     }
 
-    /// Offers the idle `core` to the policy unless
-    /// [`Scheduler::may_dispatch`] rules it out; returns whether
-    /// `on_core_idle` ran.
-    fn offer(&mut self, core: CoreId) -> bool {
+    /// The sweep when exactly one core is idle, the loaded steady state:
+    /// that core's `may_dispatch` is all a scope answer could add, so it
+    /// is asked directly, and the per-event bitsets are touched only if
+    /// the offer frees a core and follow-up passes are due. Returns
+    /// whether `on_core_idle` ran.
+    fn sweep_lone_idle_core(&mut self) -> bool {
+        let core = self.machine.idle_cores().next().expect("one idle core");
         if !self.policy.may_dispatch(core) {
             self.idle_offers_skipped += 1;
             return false;
         }
+        let transitions = self.machine.idle_transitions();
         self.idle_offers += 1;
         self.policy.on_core_idle(&mut self.machine, core);
+        if self.machine.idle_transitions() != transitions {
+            self.considered.fill(0);
+            self.considered[core.index() / 64] |= 1 << (core.index() % 64);
+            self.sweep_passes();
+        }
         true
+    }
+
+    /// Sweeps in passes, each over the idle cores not yet considered for
+    /// this event (a word of the idle bitset at a time), until a pass
+    /// frees no core: cores freed by preempts made during a pass are
+    /// picked up by the next one. Returns whether `on_core_idle` ran.
+    fn sweep_passes(&mut self) -> bool {
+        let mut offered = false;
+        while self.machine.num_idle_cores() > 0 {
+            let pass_transitions = self.machine.idle_transitions();
+            for (w, (cand, seen)) in self.pass.iter_mut().zip(&self.considered).enumerate() {
+                *cand = self.machine.idle_word(w) & !seen;
+            }
+            let pass_offered = self.sweep_pass();
+            offered |= pass_offered;
+            if !pass_offered || self.machine.idle_transitions() == pass_transitions {
+                break;
+            }
+        }
+        offered
+    }
+
+    /// One pass over the candidates in core-id order: each candidate
+    /// still idle when reached is considered and offered unless the
+    /// policy rules it out. Returns whether `on_core_idle` ran.
+    ///
+    /// The policy's [`OfferScope`] is asked at the start and again after
+    /// every real offer (only an offer can change its answers); `Only`
+    /// and `Nowhere` settle whole ranges of candidates a word at a time,
+    /// so a sparse machine costs O(words) per pass instead of O(idle
+    /// cores).
+    fn sweep_pass(&mut self) -> bool {
+        let cores = self.machine.num_cores();
+        let mut offered = false;
+        let mut from = 0;
+        while from < cores {
+            // `lo..hi` is asked core by core; the scope rules out the
+            // rest of `from..`.
+            let (lo, hi) = match self.policy.offer_scope() {
+                OfferScope::PerCore => (from, cores),
+                OfferScope::Only(k) if k.index() >= from => (k.index(), k.index() + 1),
+                OfferScope::Only(_) | OfferScope::Nowhere => (cores, cores),
+            };
+            self.walk(from, lo, false);
+            let Some(core) = self.walk(lo, hi, true) else {
+                self.walk(hi, cores, false);
+                break;
+            };
+            self.idle_offers += 1;
+            self.policy.on_core_idle(&mut self.machine, core);
+            offered = true;
+            from = core.index() + 1;
+        }
+        offered
+    }
+
+    /// Considers the candidates in `[lo, hi)` that are still idle, in
+    /// core-id order, a word of the bitsets at a time. With `ask` set it
+    /// returns the first one [`Scheduler::may_dispatch`] allows, and the
+    /// ones before it count as skipped. Without `ask` the caller holds an
+    /// `Only`/`Nowhere` answer that rules the whole range out, so every
+    /// candidate is skipped unasked (checked against `may_dispatch` in
+    /// debug builds).
+    fn walk(&mut self, lo: usize, hi: usize, ask: bool) -> Option<CoreId> {
+        if lo >= hi {
+            return None;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        for w in first..=last {
+            let mut bits = self.pass[w] & self.machine.idle_word(w);
+            if w == first {
+                bits &= u64::MAX << (lo % 64);
+            }
+            if w == last {
+                bits &= u64::MAX >> (63 - (hi - 1) % 64);
+            }
+            let mut found = None;
+            if ask || cfg!(debug_assertions) {
+                let mut rest = bits;
+                while rest != 0 {
+                    let low = rest & rest.wrapping_neg();
+                    let core = CoreId::from_index(w * 64 + rest.trailing_zeros() as usize);
+                    if self.policy.may_dispatch(core) {
+                        debug_assert!(
+                            ask,
+                            "offer_scope ruled out core {core}, but may_dispatch allows it"
+                        );
+                        // Settle this core and those before it only.
+                        bits &= low | (low - 1);
+                        found = Some(core);
+                        break;
+                    }
+                    rest ^= low;
+                }
+            }
+            self.considered[w] |= bits;
+            self.idle_offers_skipped += u64::from(bits.count_ones()) - u64::from(found.is_some());
+            if found.is_some() {
+                return found;
+            }
+        }
+        None
     }
 
     /// Runs to completion, returning the full report (keeps the machine).

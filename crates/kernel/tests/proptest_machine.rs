@@ -6,7 +6,7 @@
 
 use faas_kernel::{
     CoreId, CoreState, CostModel, InterferenceConfig, KernelMessage, Machine, MachineConfig,
-    Scheduler, Simulation, TaskId, TaskSpec,
+    OfferScope, Scheduler, Simulation, TaskId, TaskSpec,
 };
 use faas_simcore::check::{self, Gen};
 use faas_simcore::{SimDuration, SimTime};
@@ -15,7 +15,7 @@ use faas_simcore::SimDuration as Dur;
 
 #[path = "common/brute_force.rs"]
 mod brute_force;
-use brute_force::run_brute_force;
+use brute_force::{run_brute_force, run_per_core_walk};
 
 /// A deterministic chaos agent driven by an LCG.
 struct Chaos {
@@ -82,6 +82,14 @@ impl Scheduler for Chaos {
     /// LCG or the machine, so the batched sweep's skip path runs here.
     fn may_dispatch(&self, _core: CoreId) -> bool {
         !self.runnable.is_empty()
+    }
+    /// Settles the whole sweep at once when nothing is runnable.
+    fn offer_scope(&self) -> OfferScope {
+        if self.runnable.is_empty() {
+            OfferScope::Nowhere
+        } else {
+            OfferScope::PerCore
+        }
     }
 }
 
@@ -223,9 +231,6 @@ fn incremental_idle_set_matches_brute_force() {
                 .collect();
             assert_eq!(incremental, brute, "idle set diverged from scan");
             assert_eq!(m.num_idle_cores(), brute.len());
-            let mut buf = Vec::new();
-            m.fill_idle_cores(&mut buf);
-            assert_eq!(buf, brute);
             // Back-pointer == brute-force search, both directions.
             for c in (0..m.num_cores()).map(CoreId::from_index) {
                 match m.core_state(c) {
@@ -301,8 +306,9 @@ fn incremental_idle_set_matches_brute_force() {
 
 /// The batched idle sweep in `Simulation::step` (which skips the sweep
 /// after internal events when no core became idle and the last sweep
-/// made no offer, and skips each offer `may_dispatch` rules out) is
-/// observationally equivalent to the brute-force driver it replaced.
+/// made no offer, and skips the offers `offer_scope` and `may_dispatch`
+/// rule out) is observationally equivalent to the brute-force driver it
+/// replaced.
 #[test]
 fn batched_sweep_equals_brute_force_driver() {
     check::run("batched_sweep_equals_brute_force_driver", 48, |g| {
@@ -344,6 +350,126 @@ fn batched_sweep_equals_brute_force_driver() {
             assert_eq!(a.cpu_time(), b.cpu_time(), "task {id} cpu time");
             assert_eq!(a.preemptions(), b.preemptions(), "task {id} preemptions");
         }
+    });
+}
+
+/// A per-core agent built to exercise [`Scheduler::offer_scope`]: every
+/// task queues on one core, and an offer serves only its own core's
+/// queue, so the scope is `Nowhere` or `Only` whenever at most one queue
+/// holds work. An offer sometimes preempts a running core and re-queues
+/// the victim on a random core, which hands work to cores later in the
+/// same pass and starts follow-up passes, right after `Only` answers.
+/// It logs every `on_core_idle` call.
+struct Homed {
+    queues: Vec<Vec<TaskId>>,
+    state: u64,
+    offers: Vec<(SimTime, CoreId)>,
+}
+
+impl Homed {
+    fn new(cores: usize, seed: u64) -> Self {
+        Homed {
+            queues: vec![Vec::new(); cores],
+            state: seed | 1,
+            offers: Vec::new(),
+        }
+    }
+    fn next(&mut self) -> u64 {
+        self.state = self
+            .state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.state >> 33
+    }
+    fn enqueue(&mut self, task: TaskId, core: usize) {
+        let n = self.queues.len();
+        self.queues[core % n].push(task);
+    }
+}
+
+impl Scheduler for Homed {
+    fn name(&self) -> &str {
+        "homed"
+    }
+    fn on_task_new(&mut self, _m: &mut Machine, task: TaskId) {
+        self.enqueue(task, task.index().wrapping_mul(7919));
+    }
+    fn on_slice_expired(&mut self, _m: &mut Machine, task: TaskId, core: CoreId) {
+        self.enqueue(task, core.index());
+    }
+    fn on_core_idle(&mut self, m: &mut Machine, core: CoreId) {
+        self.offers.push((m.now(), core));
+        let Some(task) = self.queues[core.index()].pop() else {
+            return;
+        };
+        let slice = match self.next() % 3 {
+            0 => None,
+            _ => Some(Dur::from_millis(1 + self.next() % 20)),
+        };
+        m.dispatch(core, task, slice)
+            .expect("dispatch on idle core");
+        let running: Vec<CoreId> = (0..m.num_cores())
+            .map(CoreId::from_index)
+            .filter(|&c| matches!(m.core_state(c), CoreState::Running(_)))
+            .collect();
+        if self.next().is_multiple_of(2) {
+            let victim = running[self.next() as usize % running.len()];
+            let t = m.preempt(victim).expect("victim was running");
+            let to = self.next() as usize;
+            self.enqueue(t, to);
+        }
+    }
+    fn may_dispatch(&self, core: CoreId) -> bool {
+        !self.queues[core.index()].is_empty()
+    }
+    fn offer_scope(&self) -> OfferScope {
+        let mut busy = (0..self.queues.len()).filter(|&c| !self.queues[c].is_empty());
+        match (busy.next(), busy.next()) {
+            (None, _) => OfferScope::Nowhere,
+            (Some(c), None) => OfferScope::Only(CoreId::from_index(c)),
+            _ => OfferScope::PerCore,
+        }
+    }
+}
+
+/// The driver reproduces the reference per-core `may_dispatch` walk
+/// exactly: the same `on_core_idle` calls in the same order, the same
+/// kernel messages and the same offered/skipped counts — with the
+/// scope's `Only`/`Nowhere` answers and the lone-idle-core path, also
+/// when offers free cores mid-sweep (follow-up passes) and on machines
+/// wider than one 64-bit word of the idle bitset.
+#[test]
+fn scoped_sweep_equals_per_core_walk() {
+    check::run("scoped_sweep_equals_per_core_walk", 48, |g| {
+        let cores = g.usize_in(1, 80);
+        let specs = arb_specs(g);
+        let seed = g.u64_in(0, u64::MAX);
+        let with_interference = g.boolean();
+        let make_cfg = || {
+            let cfg = MachineConfig::new(cores)
+                .with_cost(CostModel::from_micros(3, 50))
+                .with_message_log();
+            if with_interference {
+                cfg.with_interference(InterferenceConfig {
+                    mean_interval: SimDuration::from_millis(60),
+                    duration: SimDuration::from_millis(8),
+                })
+                .with_seed(seed ^ 0x1234)
+            } else {
+                cfg
+            }
+        };
+        let mut scoped = Simulation::new(make_cfg(), specs.clone(), Homed::new(cores, seed));
+        while scoped.step().expect("run completes") {}
+        let (walk_m, walk_p, walk_counts) =
+            run_per_core_walk(make_cfg(), specs, Homed::new(cores, seed));
+        assert_eq!(scoped.policy().offers, walk_p.offers, "on_core_idle calls");
+        assert_eq!(scoped.machine().messages(), walk_m.messages());
+        assert_eq!(
+            (scoped.idle_offers(), scoped.idle_offers_skipped()),
+            walk_counts,
+            "offered and skipped counts"
+        );
     });
 }
 

@@ -80,6 +80,9 @@ pub struct Cfs {
     rqs: Vec<CoreRq>,
     /// vruntime offset per task: effective vr = offset + cpu_time.
     offsets: Vec<i64>,
+    /// Run queues holding two or more tasks — exactly the queues an idle
+    /// core may steal from (kept in step with every push and pop).
+    crowded: usize,
     /// Smallest runnable count at which the slice formula bottoms out at
     /// `min_granularity`; at or beyond it the per-dispatch hot path skips
     /// the division (loaded queues hit this constantly).
@@ -107,6 +110,7 @@ impl Cfs {
             params,
             rqs: (0..cores).map(|_| CoreRq::default()).collect(),
             offsets: Vec::new(),
+            crowded: 0,
             slice_floor_nr: params
                 .sched_latency
                 .as_micros()
@@ -152,6 +156,18 @@ impl Cfs {
         }
         let key = (self.effective_vr(m, task), task);
         self.rqs[core].queue.push(key);
+        self.crowded += usize::from(self.rqs[core].queue.len() == 2);
+    }
+
+    /// Run queues holding two or more tasks. With an empty own queue, an
+    /// idle core steals iff this is non-zero.
+    fn crowded(&self) -> usize {
+        debug_assert_eq!(
+            self.crowded,
+            self.rqs.iter().filter(|r| r.queue.len() >= 2).count(),
+            "crowded counter out of step with the run queues"
+        );
+        self.crowded
     }
 
     fn least_loaded_core(&self, m: &Machine) -> usize {
@@ -209,6 +225,10 @@ impl Scheduler for Cfs {
     }
 
     fn on_core_idle(&mut self, m: &mut Machine, core: CoreId) {
+        if !self.may_dispatch(core) {
+            // Nothing queued here and nothing to steal: skip the scan.
+            return;
+        }
         let idx = core.index();
         if self.rqs[idx].queue.is_empty() {
             // Load balance: steal the task that would wait longest on the
@@ -219,17 +239,25 @@ impl Scheduler for Cfs {
             match victim {
                 Some(v) if self.rqs[v].queue.len() > 1 => {
                     let key = self.rqs[v].queue.take_max().expect("non-empty");
+                    self.crowded -= usize::from(self.rqs[v].queue.len() == 1);
                     self.enqueue_at(m, idx, key.1, true);
                 }
                 _ => return, // nothing to steal; stay idle
             }
         }
         let key = self.rqs[idx].queue.pop_min().expect("non-empty queue");
+        self.crowded -= usize::from(self.rqs[idx].queue.len() == 1);
         let rq = &mut self.rqs[idx];
         rq.min_vruntime = rq.min_vruntime.max(key.0);
         let slice = self.slice_for(self.rqs[idx].queue.len());
         m.dispatch(core, key.1, Some(slice))
             .expect("cfs dispatch on idle core");
+    }
+
+    fn may_dispatch(&self, core: CoreId) -> bool {
+        // With an empty own queue the offer only acts if some queue holds
+        // more than one task to steal.
+        !self.rqs[core.index()].queue.is_empty() || self.crowded() > 0
     }
 }
 
@@ -362,6 +390,33 @@ mod tests {
             "got {}",
             report.tasks[1].response_time().unwrap()
         );
+    }
+
+    /// `may_dispatch` is exact against a recount of the run queues, and
+    /// an offer to an idle core dispatches exactly when it says yes,
+    /// across random queue states.
+    #[test]
+    fn may_dispatch_is_exact() {
+        use faas_simcore::check;
+        check::run("cfs_may_dispatch_is_exact", 64, |g| {
+            let cores = g.usize_in(1, 6);
+            let tasks = g.usize_in(0, 12);
+            let specs = uniform(tasks, 10);
+            let mut m = Machine::new(MachineConfig::new(cores), specs);
+            let mut cfs = Cfs::with_cores(cores);
+            for t in 0..tasks {
+                cfs.enqueue_at(&m, g.usize_in(0, cores), TaskId::from_index(t), true);
+            }
+            for c in 0..cores {
+                let core = CoreId::from_index(c);
+                let crowded = (0..cores).any(|i| cfs.queue_len(i) >= 2);
+                let expect = cfs.queue_len(c) > 0 || crowded;
+                assert_eq!(cfs.may_dispatch(core), expect, "core {c}");
+                cfs.on_core_idle(&mut m, core);
+                let dispatched = m.core_state(core) != CoreState::Idle;
+                assert_eq!(dispatched, expect, "offer to core {c}");
+            }
+        });
     }
 
     #[test]

@@ -83,6 +83,9 @@ impl Scheduler for Boxed {
     fn may_dispatch(&self, c: serverless_hybrid_sched::kernel::CoreId) -> bool {
         self.0.may_dispatch(c)
     }
+    fn offer_scope(&self) -> serverless_hybrid_sched::kernel::OfferScope {
+        self.0.offer_scope()
+    }
     fn on_tick(&mut self, m: &mut Machine) {
         self.0.on_tick(m)
     }
