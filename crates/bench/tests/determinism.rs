@@ -8,6 +8,11 @@
 //! * the fig11/fig12 scenario output digests below were captured from the
 //!   tree **before** the swap — any ordering change in the kernel event
 //!   loop or the runqueue picks shows up as a digest mismatch;
+//! * the fig19 and ablation-design digests were captured from the tree
+//!   before the hybrid's long-task group moved onto `faas_policies`' CFS
+//!   run queues: fig19 migrates cores in both directions (queue hand-off
+//!   on removal, rebalancing on arrival), and ablation-design covers
+//!   least-loaded CFS placement, hint routing and rightsizing thresholds;
 //! * the same output must be byte-identical at any `BENCH_THREADS`
 //!   setting (the sweep fan-out must not affect results).
 //!
@@ -48,6 +53,8 @@ fn fig11_fig12_bytes_pinned_to_pre_swap_and_thread_invariant() {
 
     let fig11_t1 = run_scenario("fig11");
     let fig12_t1 = run_scenario("fig12");
+    let fig19_t1 = run_scenario("fig19");
+    let design_t1 = run_scenario("ablation-design");
 
     // Digests recorded from the pre-swap tree (BinaryHeap event queue,
     // BTreeSet runqueues) at SCALE_DIV=40.
@@ -60,6 +67,18 @@ fn fig11_fig12_bytes_pinned_to_pre_swap_and_thread_invariant() {
         fnv1a(&fig12_t1),
         0xedc3_a6b9_8a34_4406,
         "fig12 output changed vs. the pre-swap baseline"
+    );
+    // Digests recorded before the hybrid's CFS group and `Cfs` shared one
+    // run-queue type, at SCALE_DIV=40.
+    assert_eq!(
+        fnv1a(&fig19_t1),
+        0xa15a_3bbe_0218_d8a2,
+        "fig19 output changed vs. the two-CFS baseline"
+    );
+    assert_eq!(
+        fnv1a(&design_t1),
+        0x01b6_c799_3e60_2407,
+        "ablation-design output changed vs. the two-CFS baseline"
     );
 
     // Thread invariance: the parallel sweep runner must not change bytes.

@@ -189,8 +189,8 @@ pub struct StreamMachineReport {
     /// `on_core_idle` calls the machine's idle sweep made (see
     /// [`MachineRun::idle_offers`]).
     pub idle_offers: u64,
-    /// Idle cores the sweep skipped on the policy's `may_dispatch` hint
-    /// (see [`MachineRun::idle_offers_skipped`]).
+    /// Idle cores the sweep skipped on the policy's hints (see
+    /// [`MachineRun::idle_offers_skipped`]).
     pub idle_offers_skipped: u64,
 }
 

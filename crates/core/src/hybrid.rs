@@ -4,18 +4,20 @@
 //! Tasks first enter a centralized global FIFO queue served by the
 //! *short-task* core group and run **without preemption** up to a time
 //! limit. A task that exceeds the limit is preempted and migrated to the
-//! *long-task* group, whose cores run per-core CFS queues; migrated tasks
-//! are spread round-robin (§IV-A). Two provider-side mechanisms keep
-//! utilization high (§IV-B): the limit tracks a percentile of the last 100
-//! task durations, and a rightsizing controller moves cores between the
-//! groups when their utilization diverges.
+//! *long-task* group, which runs CFS on the same
+//! [`CfsQueues`](faas_policies::CfsQueues) as [`faas_policies::Cfs`],
+//! with cores joining and leaving as the groups change size; migrated
+//! tasks are spread round-robin (§IV-A). Two provider-side mechanisms
+//! keep utilization high (§IV-B): the limit tracks a percentile of the
+//! last 100 task durations, and a rightsizing controller moves cores
+//! between the groups when their utilization diverges.
 
 use std::collections::VecDeque;
 
 use faas_kernel::{CoreId, CoreState, Machine, OfferScope, Scheduler, TaskId};
+use faas_policies::CfsQueues;
 use faas_simcore::{SimDuration, SimTime};
 
-use crate::cfs_side::CfsSide;
 use crate::config::{CfsPlacement, HybridConfig, TimeLimitPolicy};
 use crate::rightsizing::{
     MigrationDirection, MigrationReport, MigrationStep, RightsizingController,
@@ -72,7 +74,7 @@ pub struct HybridScheduler {
     fifo_cores: Vec<CoreId>,
     cfs_cores: Vec<CoreId>,
     fifo_queue: VecDeque<TaskId>,
-    cfs: CfsSide,
+    cfs: CfsQueues,
     /// Round-robin pointer for placing migrated tasks (§IV-A).
     rr_next: usize,
     window: SlidingWindow,
@@ -93,7 +95,7 @@ impl HybridScheduler {
         let mut group_of = Vec::with_capacity(total);
         let mut fifo_cores = Vec::new();
         let mut cfs_cores = Vec::new();
-        let mut cfs = CfsSide::new(cfg.sched_latency, cfg.min_granularity);
+        let mut cfs = CfsQueues::new(cfg.sched_latency, cfg.min_granularity);
         for i in 0..total {
             let id = CoreId::from_index(i);
             if i < cfg.fifo_cores {
@@ -102,7 +104,7 @@ impl HybridScheduler {
             } else {
                 group_of.push(Group::Cfs);
                 cfs_cores.push(id);
-                cfs.add_core(i);
+                cfs.add_core(id);
             }
         }
         let limit = match cfg.time_limit {
@@ -193,7 +195,7 @@ impl HybridScheduler {
 
     /// Total tasks queued across all CFS-side run queues.
     pub fn cfs_queue_len(&self) -> usize {
-        self.cfs.total_queued()
+        self.cfs.queued()
     }
 
     // ---- internals -----------------------------------------------------
@@ -209,18 +211,24 @@ impl HybridScheduler {
                 self.rr_next = (self.rr_next + 1) % self.cfs_cores.len();
                 target
             }
-            CfsPlacement::LeastLoaded => *self
-                .cfs_cores
-                .iter()
-                .min_by_key(|c| self.cfs.queue_len(c.index()))
-                .expect("cfs group non-empty"),
+            CfsPlacement::LeastLoaded => self.shortest_cfs_core(),
         }
+    }
+
+    /// The CFS core with the shortest queue (the first of them in group
+    /// order).
+    fn shortest_cfs_core(&self) -> CoreId {
+        *self
+            .cfs_cores
+            .iter()
+            .min_by_key(|&&c| self.cfs.queue_len(c))
+            .expect("cfs group non-empty")
     }
 
     /// Places a task that exceeded the limit onto the CFS side (§IV-A).
     fn migrate_task_to_cfs(&mut self, m: &Machine, task: TaskId) {
         let target = self.next_cfs_target();
-        self.cfs.enqueue_new(m, target.index(), task);
+        self.cfs.place(m, target, task, 0);
         self.tasks_migrated += 1;
     }
 
@@ -241,17 +249,6 @@ impl HybridScheduler {
                     self.migrate_task_to_cfs(m, task);
                 }
             }
-        }
-    }
-
-    fn dispatch_cfs(&mut self, m: &mut Machine, core: CoreId) {
-        let idx = core.index();
-        if self.cfs.queue_len(idx) == 0 && !self.cfs.steal_into(m, idx) {
-            return;
-        }
-        if let Some((task, slice)) = self.cfs.pop(idx) {
-            m.dispatch(core, task, Some(slice))
-                .expect("dispatch on idle cfs core");
         }
     }
 
@@ -278,15 +275,8 @@ impl HybridScheduler {
         match direction {
             MigrationDirection::CfsToFifo => {
                 // Donate the CFS core with the shortest queue.
-                let core = *self
-                    .cfs_cores
-                    .iter()
-                    .min_by_key(|c| self.cfs.queue_len(c.index()))
-                    .expect("cfs group non-empty");
-                debug_assert!(
-                    self.cfs.has_core(core.index()),
-                    "donor must be a CFS member"
-                );
+                let core = self.shortest_cfs_core();
+                debug_assert!(self.cfs.has_core(core), "donor must be a CFS member");
                 // Step 1: lock — atomic here, recorded for observability.
                 steps.push(MigrationStep::Lock(core));
                 // Step 2: preempt the occupying task, if any, into a
@@ -301,14 +291,14 @@ impl HybridScheduler {
                 steps.push(MigrationStep::PreemptRunning(preempted));
                 // Step 3: redistribute the core's queue to remaining cores.
                 self.cfs_cores.retain(|c| *c != core);
-                let mut orphans = self.cfs.remove_core(core.index());
+                let mut orphans = self.cfs.remove_core(core);
                 if let Some(t) = preempted {
                     orphans.push(t);
                 }
                 let n = orphans.len();
                 for (i, t) in orphans.into_iter().enumerate() {
                     let target = self.cfs_cores[i % self.cfs_cores.len()];
-                    self.cfs.enqueue_new(m, target.index(), t);
+                    self.cfs.place(m, target, t, 0);
                 }
                 steps.push(MigrationStep::RedistributeQueue(n));
                 // Step 4: policy transition.
@@ -343,7 +333,7 @@ impl HybridScheduler {
                 self.fifo_cores.retain(|c| *c != core);
                 self.group_of[core.index()] = Group::Cfs;
                 self.cfs_cores.push(core);
-                self.cfs.add_core(core.index());
+                self.cfs.add_core(core);
                 // §IV-B: the newcomer has an empty queue, so rebalance.
                 let moved = self.cfs.balance(m);
                 steps.push(MigrationStep::RedistributeQueue(moved));
@@ -400,7 +390,7 @@ impl Scheduler for HybridScheduler {
             // §VII-4 extension: background threads (microVM VMM/I-O) skip
             // the latency-optimized FIFO stage entirely.
             let target = self.next_cfs_target();
-            self.cfs.enqueue_new(m, target.index(), task);
+            self.cfs.place(m, target, task, 0);
             self.background_routed += 1;
             return;
         }
@@ -412,7 +402,7 @@ impl Scheduler for HybridScheduler {
         match self.group_of[core.index()] {
             // FIFO slice == remaining limit budget: the task is long.
             Group::Fifo => self.migrate_task_to_cfs(m, task),
-            Group::Cfs => self.cfs.requeue(m, core.index(), task),
+            Group::Cfs => self.cfs.requeue(m, core, task),
         }
     }
 
@@ -421,7 +411,7 @@ impl Scheduler for HybridScheduler {
             // The centralized agent re-queues the victim at the head so it
             // resumes as soon as a short-task core frees up.
             Group::Fifo => self.fifo_queue.push_front(task),
-            Group::Cfs => self.cfs.requeue(m, core.index(), task),
+            Group::Cfs => self.cfs.requeue(m, core, task),
         }
     }
 
@@ -437,30 +427,24 @@ impl Scheduler for HybridScheduler {
     fn on_core_idle(&mut self, m: &mut Machine, core: CoreId) {
         match self.group_of[core.index()] {
             Group::Fifo => self.dispatch_fifo(m, core),
-            Group::Cfs => self.dispatch_cfs(m, core),
+            Group::Cfs => self.cfs.dispatch(m, core),
         }
     }
 
     fn may_dispatch(&self, core: CoreId) -> bool {
         match self.group_of[core.index()] {
             Group::Fifo => !self.fifo_queue.is_empty(),
-            // With an empty own queue the offer only acts if `steal_into`
-            // finds a member queue holding more than one task.
-            Group::Cfs => self.cfs.queue_len(core.index()) > 0 || self.cfs.crowded() > 0,
+            Group::Cfs => self.cfs.may_dispatch(core),
         }
     }
 
     fn offer_scope(&self) -> OfferScope {
-        if !self.fifo_queue.is_empty() || self.cfs.crowded() > 0 {
+        if !self.fifo_queue.is_empty() {
             return OfferScope::PerCore;
         }
-        // No FIFO work and nothing to steal: only a CFS core with a task
-        // of its own queued could use an offer.
-        match self.cfs.total_queued() {
-            0 => OfferScope::Nowhere,
-            1 => OfferScope::Only(CoreId::from_index(self.cfs.lone_core())),
-            _ => OfferScope::PerCore,
-        }
+        // No FIFO work: every FIFO core declines, so the CFS group's
+        // answer is the machine's.
+        self.cfs.offer_scope()
     }
 
     fn on_tick(&mut self, m: &mut Machine) {

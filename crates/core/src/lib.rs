@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cfs_side;
 mod config;
 mod hybrid;
 mod rightsizing;

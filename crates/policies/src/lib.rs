@@ -34,7 +34,7 @@ mod rr;
 mod sfs;
 mod shinjuku;
 
-pub use cfs::{Cfs, CfsParams};
+pub use cfs::{Cfs, CfsParams, CfsQueues};
 pub use edf::Edf;
 pub use fifo::Fifo;
 pub use fifo_limit::FifoWithLimit;
