@@ -292,6 +292,42 @@ fn bench_cluster_xl(c: &mut Bench) {
     }
 }
 
+/// The lone-renewal regime: one sparse 50-core paper hybrid node whose
+/// few long invocations outlive the FIFO limit and run alone on CFS
+/// cores, sliced every 24 ms, among a trickle of short ones. Renewal
+/// trains settle those slice expiries without popping an event each;
+/// events/sec counts logical kernel events (settled expiries included),
+/// so the row shows per-event cost in the regime trains target.
+fn bench_renewal_trains(c: &mut Bench) {
+    let mut g = c.benchmark_group("renewal_trains");
+    g.sample_size(10);
+    let specs: Vec<TaskSpec> = (0..400u64)
+        .map(|i| {
+            let work = if i % 20 == 0 {
+                8_000 + (i * 37) % 12_000
+            } else {
+                5 + (i * 13) % 80
+            };
+            TaskSpec::function(
+                SimTime::from_millis(150 * i),
+                SimDuration::from_millis(work),
+                128,
+            )
+        })
+        .collect();
+    let run = || {
+        let cfg = MachineConfig::new(50).with_cost(CostModel::default());
+        let policy = HybridScheduler::new(HybridConfig::paper_25_25());
+        let mut sim = Simulation::new(cfg, specs.clone(), policy);
+        while sim.step().unwrap() {}
+        black_box(sim.machine().now());
+        sim.machine().events_processed()
+    };
+    g.throughput(run());
+    g.bench_function("hybrid_50c_lone_long_tasks", |b| b.iter(run));
+    g.finish();
+}
+
 /// The dispatch tier alone at fleet scale: the front-end fold (routing,
 /// middleware, health feedback) over a fixed arrival stream with **no
 /// kernel runs attached**, at M ∈ {16, 256, 1024} machines. This is the
@@ -457,6 +493,7 @@ fn main() {
     bench_policies(&mut c);
     bench_cluster(&mut c);
     bench_cluster_xl(&mut c);
+    bench_renewal_trains(&mut c);
     bench_frontend_scale(&mut c);
     bench_primitives(&mut c);
     if c.filtered() {

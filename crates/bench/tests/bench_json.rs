@@ -82,6 +82,8 @@ fn baseline_has_schema_and_expected_rows() {
         "\"name\": \"dispatch_bare_16m\"",
         "\"name\": \"dispatch_overload_256m\"",
         "\"name\": \"dispatch_health_1024m\"",
+        // The lone-renewal regime renewal trains settle in closed form.
+        "\"name\": \"hybrid_50c_lone_long_tasks\"",
     ] {
         assert!(text.contains(name), "baseline missing row: {name}");
     }

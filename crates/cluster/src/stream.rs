@@ -172,6 +172,10 @@ pub struct StreamMachineReport {
     pub finished_at: SimTime,
     /// Kernel events processed (stale generations included).
     pub events_processed: u64,
+    /// Slice expiries renewal trains settled without popping an event
+    /// (included in `events_processed`; see
+    /// [`Machine::renewals_settled`](faas_kernel::Machine::renewals_settled)).
+    pub renewals_settled: u64,
     /// Invocations completed (and billed) on this machine.
     pub tasks: u64,
     /// Billed cost in USD (zero when [`StreamOptions::price`] is `None`).
@@ -261,6 +265,12 @@ impl StreamClusterReport {
         self.machines.iter().map(|m| m.events_processed).sum()
     }
 
+    /// Slice expiries renewal trains settled across the fleet (included in
+    /// [`StreamClusterReport::events_processed`]).
+    pub fn renewals_settled(&self) -> u64 {
+        self.machines.iter().map(|m| m.renewals_settled).sum()
+    }
+
     /// The largest number of task records any machine held at once.
     pub fn max_live_tasks(&self) -> usize {
         self.machines
@@ -338,6 +348,7 @@ impl<P: Scheduler> MachineState<P> {
             core_stats: self.run.core_stats(),
             finished_at: self.run.machine().now(),
             events_processed: self.run.machine().events_processed(),
+            renewals_settled: self.run.machine().renewals_settled(),
             tasks: self.stats.count(),
             cost_usd: self.cost.as_ref().map_or(0.0, CostAccumulator::total_usd),
             max_live_tasks: self.max_live,

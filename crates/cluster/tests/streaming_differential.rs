@@ -25,10 +25,10 @@ use faas_cluster::{
     chunk_workload, workload_from_trace, Cluster, ClusterConfig, ClusterTask, ClusterTaskStream,
     ColdStartConfig, Dispatch, DispatchCtx, StreamClusterReport, StreamOptions,
 };
-use faas_kernel::{InterferenceConfig, MachineConfig, Scheduler};
+use faas_kernel::{CostModel, InterferenceConfig, MachineConfig, Scheduler, TaskSpec};
 use faas_metrics::{Metric, RunSummary, StreamRunStats, TaskRecord};
 use faas_policies::Fifo;
-use faas_simcore::SimDuration;
+use faas_simcore::{SimDuration, SimTime};
 use hybrid_scheduler::{HybridConfig, HybridScheduler};
 use lambda_pricing::PriceModel;
 
@@ -157,37 +157,100 @@ fn streaming_matches_materializing_on_cluster_scenario_shapes() {
     // cluster01/02/03 shapes: fleet size × per-machine scheduler ×
     // dispatch policy, as in the bench registry (FIFO axis on the small
     // fleet, hybrid nodes above it).
-    run_shape("cluster01", 4, || KeepAliveDispatch, |_| Fifo::new());
+    let window = SimDuration::from_secs(10);
+    let hybrid = |_| HybridScheduler::new(HybridConfig::split(2, 2));
+    run_shape(
+        "cluster01",
+        || scenario_fleet(4),
+        &scenario_workload(4),
+        window,
+        || KeepAliveDispatch,
+        |_| Fifo::new(),
+    );
     run_shape(
         "cluster02",
-        16,
+        || scenario_fleet(16),
+        &scenario_workload(16),
+        window,
         || LeastOutstanding,
-        |_| HybridScheduler::new(HybridConfig::split(2, 2)),
+        hybrid,
     );
     run_shape(
         "cluster03",
-        64,
+        || scenario_fleet(64),
+        &scenario_workload(64),
+        window,
         || RandomDispatch::new(0xC105),
-        |_| HybridScheduler::new(HybridConfig::split(2, 2)),
+        hybrid,
     );
 }
 
-fn run_shape<D, P, F>(id: &str, machines: usize, make_dispatch: impl Fn() -> D, make_policy: F)
+/// A sparse hybrid fleet whose long invocations outlive the FIFO limit
+/// and run alone on CFS cores as renewal trains, for seconds at a time,
+/// across many chunk horizons. Switches are free and arrivals and chunk
+/// bounds fall on multiples of the 24 ms slice, which makes train
+/// boundaries on a chunk bound likely. Batch and chunked runs must agree on
+/// per-core statistics, event counts and settled renewals.
+#[test]
+fn renewal_trains_straddle_chunk_horizons() {
+    let fleet = || {
+        let machine = MachineConfig::new(8)
+            .with_cost(CostModel::free())
+            .with_seed(0x7A1B);
+        ClusterConfig::new(6, machine).with_cold_start(ColdStartConfig::firecracker())
+    };
+    let mut tasks: Vec<ClusterTask> = (0..240u64)
+        .map(|i| {
+            let arrival = SimTime::from_millis(24 * ((i * 37) % 2_500));
+            let work = if i % 3 == 0 {
+                SimDuration::from_millis(30 + (i * 13) % 50)
+            } else {
+                SimDuration::from_millis(900 + (i * 211) % 6_000)
+            };
+            ClusterTask {
+                spec: TaskSpec::function(arrival, work, 128),
+                function: i % 7,
+            }
+        })
+        .collect();
+    tasks.sort_by_key(|t| t.spec.arrival);
+    let settled = run_shape(
+        "sparse-trains",
+        fleet,
+        &tasks,
+        SimDuration::from_millis(2_400),
+        || KeepAliveDispatch,
+        |_| HybridScheduler::new(HybridConfig::split(2, 6)),
+    );
+    assert!(settled > 0, "no renewal train ran");
+}
+
+/// Runs one fleet shape materializing and streaming at fan widths 1, 2
+/// and 4, asserts they agree, and returns the renewals the streamed runs
+/// settled.
+fn run_shape<D, P, F>(
+    id: &str,
+    fleet: impl Fn() -> ClusterConfig,
+    tasks: &[ClusterTask],
+    window: SimDuration,
+    make_dispatch: impl Fn() -> D,
+    make_policy: F,
+) -> u64
 where
     D: Dispatch,
     P: Scheduler + Send,
     F: Fn(usize) -> P + Sync + Copy,
 {
-    let tasks = scenario_workload(machines);
-    let exact = Cluster::new(scenario_fleet(machines), make_dispatch(), make_policy)
-        .run(&tasks, 2)
+    let exact = Cluster::new(fleet(), make_dispatch(), make_policy)
+        .run(tasks, 2)
         .expect("materializing run completes");
-    let chunks = chunk_workload(&tasks, SimDuration::from_secs(10));
+    let chunks = chunk_workload(tasks, window);
 
     let mut stats_by_width: Vec<Vec<StreamRunStats>> = Vec::new();
+    let mut settled = 0;
     for threads in [1, 2, 4] {
         let what = format!("{id} @ fan width {threads}");
-        let stream = Cluster::new(scenario_fleet(machines), make_dispatch(), make_policy)
+        let stream = Cluster::new(fleet(), make_dispatch(), make_policy)
             .run_streaming(chunks.iter().cloned(), &stream_opts(), threads)
             .expect("streaming run completes");
 
@@ -211,6 +274,10 @@ where
                 "{what}: machine {i} event count"
             );
             assert_eq!(
+                e.renewals_settled, s.renewals_settled,
+                "{what}: machine {i} settled renewals"
+            );
+            assert_eq!(
                 (e.idle_offers, e.idle_offers_skipped),
                 (s.idle_offers, s.idle_offers_skipped),
                 "{what}: machine {i} idle-sweep counters"
@@ -218,6 +285,7 @@ where
             assert_eq!(e.finished_at, s.finished_at, "{what}: machine {i} finish");
         }
         assert_stream_matches(&exact.records, &stream, stream_opts().epsilon, &what);
+        settled = stream.renewals_settled();
         stats_by_width.push(stream.machines.into_iter().map(|m| m.stats).collect());
     }
 
@@ -226,6 +294,7 @@ where
     // completion-order.
     assert_eq!(stats_by_width[0], stats_by_width[1], "{id}: width 1 vs 2");
     assert_eq!(stats_by_width[1], stats_by_width[2], "{id}: width 2 vs 4");
+    settled
 }
 
 /// Wraps a dispatch policy and records every pick it makes, proving the

@@ -438,6 +438,15 @@ impl Scheduler for HybridScheduler {
         }
     }
 
+    fn renewal_slice(&self, core: CoreId) -> Option<SimDuration> {
+        // Only CFS members renew; a FIFO slice expiry migrates the task.
+        self.cfs.renewal_slice(core)
+    }
+
+    fn on_renewed(&mut self, m: &Machine, task: TaskId, core: CoreId) {
+        self.cfs.renewed(m, core, task);
+    }
+
     fn offer_scope(&self) -> OfferScope {
         if !self.fifo_queue.is_empty() {
             return OfferScope::PerCore;

@@ -1,7 +1,9 @@
-//! The hybrid scheduler's sweep hints (`may_dispatch` and
-//! `offer_scope`) against the brute-force driver: skipping the offers
-//! the hints rule out must leave every kernel message, task record and
-//! policy decision unchanged, across the scheduler's configuration axes.
+//! The hybrid scheduler's hints (`may_dispatch`, `offer_scope` and
+//! `renewal_slice`) against the brute-force driver: skipping the offers
+//! the hints rule out, and settling lone CFS renewals as renewal trains,
+//! must leave every kernel message, task record, core statistic, event
+//! count and policy decision unchanged, across the scheduler's
+//! configuration axes.
 
 use std::cell::Cell;
 
@@ -119,6 +121,11 @@ fn assert_matches_brute_force(
     let (m, p) = (hinted.machine(), hinted.policy());
     assert_eq!(m.messages(), brute_m.messages(), "kernel message streams");
     assert_eq!(m.now(), brute_m.now());
+    assert_eq!(m.events_processed(), brute_m.events_processed(), "events");
+    for c in 0..m.num_cores() {
+        let core = CoreId::from_index(c);
+        assert_eq!(m.core_stats(core), brute_m.core_stats(core), "core {c}");
+    }
     for i in 0..brute_m.num_tasks() {
         let id = TaskId::from_index(i);
         let (a, b) = (m.task(id), brute_m.task(id));
@@ -275,6 +282,55 @@ fn scoped_sweep_equals_brute_force_on_sparse_machines() {
         only.get() > 0 && nowhere.get() > 0,
         "Only {only:?}, Nowhere {nowhere:?}"
     );
+}
+
+/// The renewal-train regime of a sparse fleet node: a few long tasks
+/// outlive the FIFO limit and run alone on CFS cores, sliced every
+/// `sched_latency`, while 100 ms ticks, arrivals on multiples of the
+/// latency, rightsizing and interference land real events on train
+/// boundaries. The driver must match the brute-force driver and offer
+/// and skip exactly what the per-core walk does.
+#[test]
+fn renewal_trains_equal_brute_force_on_sparse_machines() {
+    let settled = Cell::new(0);
+    check::run(
+        "renewal_trains_equal_brute_force_on_sparse_machines",
+        32,
+        |g| {
+            let cores = g.usize_in(4, 40);
+            let fifo = g.usize_in(1, cores / 2 + 1);
+            let hybrid = arb_options(g, HybridConfig::split(fifo, cores - fifo));
+            let specs: Vec<TaskSpec> = (0..g.usize_in(1, 12))
+                .map(|_| {
+                    let arrival = if g.boolean() {
+                        g.u64_in(0, 100) * 24
+                    } else {
+                        g.u64_in(0, 2_500)
+                    };
+                    let work = if g.usize_in(0, 3) == 0 {
+                        g.u64_in(1, 60)
+                    } else {
+                        g.u64_in(300, 2_500)
+                    };
+                    TaskSpec::function(SimTime::from_millis(arrival), ms(work), 128)
+                })
+                .collect();
+            let interference = g.boolean().then(|| g.u64_in(0, u64::MAX));
+            let hinted = assert_matches_brute_force(&hybrid, &specs, interference);
+            let (_, _, walk_counts) = run_per_core_walk(
+                machine_cfg(cores, interference),
+                specs,
+                HybridScheduler::new(hybrid),
+            );
+            assert_eq!(
+                (hinted.idle_offers(), hinted.idle_offers_skipped()),
+                walk_counts,
+                "offered and skipped counts"
+            );
+            settled.set(settled.get() + hinted.machine().renewals_settled());
+        },
+    );
+    assert!(settled.get() > 0, "no case ran a renewal train");
 }
 
 /// On a nearly idle 50-core paper machine the hint rules out almost

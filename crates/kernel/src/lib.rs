@@ -61,6 +61,7 @@ mod machine;
 mod message;
 mod sched;
 mod task;
+mod train;
 mod util;
 
 pub use crate::core::{CoreId, CoreState, CoreStats};

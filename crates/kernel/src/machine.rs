@@ -16,7 +16,9 @@ use crate::core::{Core, CoreId, CoreState, CoreStats};
 use crate::cost::CostModel;
 use crate::idle::IdleSet;
 use crate::message::KernelMessage;
+use crate::sched::{OfferScope, Scheduler};
 use crate::task::{Task, TaskId, TaskSpec, TaskState};
+use crate::train::{fires_first, tie_order, Horizon, Train};
 use crate::util::UtilizationLedger;
 
 /// Host-OS interference model: the native kernel (timer ticks, kthreads,
@@ -320,6 +322,20 @@ pub struct Machine {
     /// Tasks cancelled past their deadline (monotonic; retirement does not
     /// decrement it).
     cancelled_total: u64,
+    /// The slice expiry a warm re-dispatch armed in the current step,
+    /// held off the heap under its reserved sequence number until the
+    /// driver starts a train with it or arms it (see [`crate::train`]).
+    held: Option<Train>,
+    /// Live renewal trains, at most one per core.
+    trains: Vec<Train>,
+    /// Slice expiries settled by trains (counted in `events_processed`).
+    renewals_settled: u64,
+    /// Sum over settled expiries of the cores idle at that instant: the
+    /// offers their sweeps would have ruled out.
+    renewal_skips: u64,
+    /// Settlement scratch: `(last boundary settled, train index,
+    /// boundaries settled)`.
+    settling: Vec<(SimTime, usize, u64)>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -391,6 +407,11 @@ impl Machine {
             arrived: 0,
             max_in_flight: 0,
             cancelled_total: 0,
+            held: None,
+            trains: Vec::new(),
+            renewals_settled: 0,
+            renewal_skips: 0,
+            settling: Vec::new(),
             cfg,
         }
     }
@@ -539,8 +560,26 @@ impl Machine {
 
     /// Kernel events processed so far, stale-generation events included
     /// (the denominator of the bench harness's events/sec throughput).
+    /// Slice expiries settled by renewal trains count as processed.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Slice expiries settled by renewal trains instead of being popped
+    /// from the event heap (included in [`Machine::events_processed`]).
+    pub fn renewals_settled(&self) -> u64 {
+        self.renewals_settled
+    }
+
+    /// Renewal trains currently running.
+    pub fn renewal_trains(&self) -> usize {
+        self.trains.len()
+    }
+
+    /// Timers waiting in the event heap; arrivals and the slice expiries
+    /// of renewal trains are not heap entries.
+    pub fn pending_timers(&self) -> usize {
+        self.events.len()
     }
 
     /// Per-core statistics.
@@ -668,19 +707,21 @@ impl Machine {
         retired
     }
 
-    /// The instant of the next pending kernel event (arrival or heap), or
-    /// `None` when nothing is scheduled. Streaming drivers use this to run
-    /// up to a chunk horizon without consuming events beyond it.
+    /// The instant of the next pending kernel event (arrival, heap timer
+    /// or a renewal train's completion), or `None` when nothing is
+    /// scheduled. Streaming drivers use this to run up to a chunk horizon
+    /// without consuming events beyond it; the slice expiries a train
+    /// settles are not events here.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        let heap = self.events.peek_time();
-        if self.arrivals.is_empty() {
-            heap
-        } else {
-            Some(match heap {
-                Some(h) => self.next_arrival_at.min(h),
-                None => self.next_arrival_at,
-            })
-        }
+        let heap = self.events.peek_time().unwrap_or(SimTime::MAX);
+        let held = self.held.map_or(SimTime::MAX, |t| t.next);
+        let next = self
+            .trains
+            .iter()
+            .fold(heap.min(self.next_arrival_at).min(held), |at, t| {
+                at.min(t.done)
+            });
+        (next != SimTime::MAX).then_some(next)
     }
 
     // ---- scheduling verbs (the agent ABI) -----------------------------
@@ -757,6 +798,17 @@ impl Machine {
         let remaining = t.remaining;
         let work_start = now + switch_cost;
         match slice {
+            Some(s) if s < remaining && warm => {
+                // A renewal: held back for the driver, which may fold
+                // this expiry and the ones after it into a train.
+                let seq = self.events.reserve();
+                let next = work_start + s;
+                let done = work_start + remaining;
+                let held = Train::new(core, task, generation, s, next, seq, done);
+                if let Some(older) = self.held.replace(held) {
+                    self.arm(older);
+                }
+            }
             Some(s) if s < remaining => {
                 self.events
                     .schedule_untracked(work_start + s, Event::SliceExpire { core, generation });
@@ -799,7 +851,7 @@ impl Machine {
             CoreState::Running(t) => t,
             _ => return Err(SchedError::NothingRunning(core)),
         };
-        self.stop_running(core, task, false);
+        self.stop_running(core, task);
         self.log(KernelMessage::TaskPreempt {
             task,
             core,
@@ -821,6 +873,18 @@ impl Machine {
     /// tasks; [`SimError::Stalled`] when no task completes for
     /// [`MachineConfig::stall_timeout`] of virtual time.
     pub fn advance(&mut self) -> Result<Option<PolicyCall>, SimError> {
+        // Only `MachineRun` starts trains; a bare driver delivers every
+        // expiry.
+        debug_assert!(self.trains.is_empty(), "a bare driver runs no train");
+        if let Some(held) = self.held.take() {
+            self.arm(held);
+        }
+        self.pop_event()
+    }
+
+    /// Pops and processes the next real event ([`Machine::advance`]
+    /// without touching renewal trains).
+    pub(crate) fn pop_event(&mut self) -> Result<Option<PolicyCall>, SimError> {
         if self.finished == self.tasks.len() {
             return Ok(None);
         }
@@ -942,7 +1006,7 @@ impl Machine {
                         CoreState::Running(t) => t,
                         _ => unreachable!("live slice expiry on non-running core"),
                     };
-                    self.stop_running(core, task, false);
+                    self.stop_running(core, task);
                     self.log(KernelMessage::SliceExpired { task, core });
                     PolicyCall::SliceExpired(task, core)
                 }
@@ -950,7 +1014,7 @@ impl Machine {
             Event::InterferenceStart(core) => {
                 let preempted = match self.cores[core.index()].state {
                     CoreState::Running(t) => {
-                        self.stop_running(core, t, true);
+                        self.stop_running(core, t);
                         self.log(KernelMessage::TaskPreempt {
                             task: t,
                             core,
@@ -1019,9 +1083,346 @@ impl Machine {
         Ok(Some(call))
     }
 
+    // ---- renewal trains (see `crate::train`) ------------------------------
+
+    /// Puts a held or broken train's pending boundary on the heap as an
+    /// ordinary slice expiry, under the number reserved for it. Breaking a
+    /// train this way is always exact: the expiry is then delivered as if
+    /// no train had run.
+    fn arm(&mut self, train: Train) {
+        let Train {
+            core,
+            generation,
+            next,
+            seq,
+            ..
+        } = train;
+        self.events
+            .schedule_reserved(next, seq, Event::SliceExpire { core, generation });
+    }
+
+    /// Ends a driver step: the renewal held in it, if any, starts a train
+    /// when its core still runs that dispatch and `policy` would renew it
+    /// with the same slice, and is armed as an ordinary expiry otherwise.
+    pub(crate) fn start_train<P: Scheduler>(&mut self, policy: &P) {
+        let Some(held) = self.held.take() else {
+            return;
+        };
+        if self.train_intact(&held) && policy.renewal_slice(held.core) == Some(held.slice) {
+            // A core holds one dispatch at a time: a train still listed
+            // for it belongs to an earlier one.
+            if let Some(i) = self.trains.iter().position(|t| t.core == held.core) {
+                let stale = self.trains.swap_remove(i);
+                self.arm(stale);
+            }
+            self.trains.push(held);
+        } else {
+            self.arm(held);
+        }
+    }
+
+    /// Whether `t`'s core still runs its task under the dispatch that
+    /// armed the pending boundary.
+    fn train_intact(&self, t: &Train) -> bool {
+        let c = &self.cores[t.core.index()];
+        c.generation == t.generation && c.state == CoreState::Running(t.task)
+    }
+
+    /// Sum over settled slice expiries of the cores idle at that instant.
+    pub(crate) fn renewal_skips(&self) -> u64 {
+        self.renewal_skips
+    }
+
+    /// Settles every renewal-train boundary that fires before the next
+    /// real event (see [`crate::train`]) and hands each settled train to
+    /// [`Scheduler::on_renewed`]. `unsure` says whether an idle core's
+    /// `may_dispatch` may be `true` (the driver's last sweep offered a core
+    /// after passing over another); if not, none is.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Stalled`] when a settled boundary is past the stall
+    /// timeout.
+    pub(crate) fn settle_next<P: Scheduler>(
+        &mut self,
+        policy: &mut P,
+        unsure: bool,
+    ) -> Result<(), SimError> {
+        loop {
+            let horizon = match self.events.peek_key() {
+                Some((at, seq)) if at < self.next_arrival_at => Horizon::Event(at, seq),
+                _ => Horizon::Before(self.next_arrival_at),
+            };
+            // A broken train's expiry may be the next event instead.
+            if !self.settle_to(horizon, policy, unsure)? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Settles every train boundary before `bound` (a run bound: nothing
+    /// at or after it is consumed), like [`Machine::settle_next`] when no
+    /// real event comes before `bound`. Returns `true`, settling nothing,
+    /// when a train broke instead: its expiry is then a real event before
+    /// `bound`, for the driver to deliver first.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Stalled`] when a settled boundary is past the stall
+    /// timeout.
+    pub(crate) fn settle_before<P: Scheduler>(
+        &mut self,
+        bound: SimTime,
+        policy: &mut P,
+        unsure: bool,
+    ) -> Result<bool, SimError> {
+        debug_assert!(
+            self.trains.iter().all(|t| t.done >= bound),
+            "a train completes before the bound"
+        );
+        self.settle_to(Horizon::Before(bound), policy, unsure)
+    }
+
+    /// Settles, for every train, the boundaries that fire before the next
+    /// real event: `horizon`, or an earlier train completion. Each settled
+    /// boundary is one slice expiry the machine would have popped and the
+    /// warm re-dispatch of the same task the driver's sweep would have
+    /// made; a train whose last boundary settles arms its completion.
+    ///
+    /// A train with a boundary due may no longer renew: its core changed
+    /// hands, the policy's [`Scheduler::renewal_slice`] no longer names
+    /// its slice, or an idle core's `may_dispatch` is `true` (an offer
+    /// there would change what the skipped sweeps saw). The answers hold
+    /// until the next real event, so every due boundary renews or none
+    /// does; such a train breaks instead, and this returns `true` having
+    /// settled nothing, since its expiry may now be the next event.
+    fn settle_to<P: Scheduler>(
+        &mut self,
+        horizon: Horizon,
+        policy: &mut P,
+        unsure: bool,
+    ) -> Result<bool, SimError> {
+        let (Horizon::Before(until) | Horizon::Event(until, _)) = horizon else {
+            unreachable!("settlement starts from a heap or calendar horizon");
+        };
+        let mut settling = std::mem::take(&mut self.settling);
+        settling.clear();
+        let (mut wanted, mut broke, mut lowered) = (None, false, false);
+        let mut i = 0;
+        while i < self.trains.len() {
+            let k = self.trains[i].boundaries_before_horizon(i, horizon, &self.trains);
+            if k == 0 {
+                i += 1;
+                continue;
+            }
+            let t = self.trains[i];
+            let renews = self.train_intact(&t)
+                && policy.renewal_slice(t.core) == Some(t.slice)
+                && !*wanted.get_or_insert_with(|| unsure && self.idle_core_wanted(policy));
+            if !renews {
+                self.trains.swap_remove(i);
+                self.arm(t);
+                broke = true;
+                continue;
+            }
+            lowered |= t.done < until;
+            settling.push((t.item_at(k), i, k));
+            i += 1;
+        }
+        if broke {
+            self.settling = settling;
+            return Ok(true);
+        }
+        if lowered {
+            // A completion comes first: settle only what precedes it.
+            let horizon = self.earliest_completion(horizon);
+            let trains = &self.trains;
+            settling.retain_mut(|(last, i, k)| {
+                *k = trains[*i].boundaries_before_horizon(*i, horizon, trains);
+                *last = trains[*i].item_at((*k).max(1));
+                *k > 0
+            });
+        }
+        let result = self.settle_due(&mut settling, policy);
+        self.settling = settling;
+        result.map(|()| false)
+    }
+
+    /// Whether some idle core's [`Scheduler::may_dispatch`] is `true`.
+    fn idle_core_wanted<P: Scheduler>(&self, policy: &P) -> bool {
+        let wanted = |core: CoreId| {
+            self.cores[core.index()].state == CoreState::Idle && policy.may_dispatch(core)
+        };
+        if self.idle.len() == 0 {
+            return false;
+        }
+        match policy.offer_scope() {
+            OfferScope::Nowhere => false,
+            OfferScope::Only(core) => wanted(core),
+            OfferScope::PerCore => self.idle.iter().any(wanted),
+        }
+    }
+
+    /// Applies the boundaries `settling` lists, `(last boundary settled,
+    /// train index, boundaries settled)`.
+    fn settle_due<P: Scheduler>(
+        &mut self,
+        settling: &mut Vec<(SimTime, usize, u64)>,
+        policy: &mut P,
+    ) -> Result<(), SimError> {
+        let mut stalled = None;
+        if let Some(limit) = self.last_progress.checked_add(self.cfg.stall_timeout) {
+            // The first boundary past the stall limit is where the popped
+            // expiry would have declared the stall, after the ones before
+            // it.
+            let trains = &self.trains;
+            stalled = settling
+                .iter()
+                .filter(|&&(last, ..)| last > limit)
+                .map(|&(_, i, _)| trains[i].item_at(trains[i].boundaries_through(limit) + 1))
+                .min();
+            if stalled.is_some() {
+                settling.retain_mut(|(last, i, k)| {
+                    *k = (*k).min(trains[*i].boundaries_through(limit));
+                    *last = trains[*i].item_at((*k).max(1));
+                    *k > 0
+                });
+            }
+        }
+        if self.cfg.log_messages {
+            self.log_settled(settling);
+        }
+        // Fresh numbers go out in the order the last settled boundaries
+        // would have fired.
+        if settling.len() > 1 {
+            let trains = &self.trains;
+            settling.sort_unstable_by(|&(ta, a, ka), &(tb, b, kb)| {
+                ta.cmp(&tb)
+                    .then_with(|| tie_order(trains, (a, ka), (b, kb)))
+            });
+        }
+        let idle = self.idle.len() as u64;
+        let mut completed = false;
+        for &(last, i, k) in settling.iter() {
+            let t = self.settle_train(i, k, last, idle);
+            completed |= t.left == 0;
+            policy.on_renewed(self, t.task, t.core);
+        }
+        if completed {
+            self.trains.retain(|t| t.left > 0);
+        }
+        match stalled {
+            Some(at) => {
+                self.now = at;
+                self.events_processed += 1;
+                Err(SimError::Stalled {
+                    at,
+                    unfinished: self.tasks.len() - self.finished,
+                })
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// `horizon`, or the completion of a train that comes before it.
+    fn earliest_completion(&self, horizon: Horizon) -> Horizon {
+        let (Horizon::Before(before) | Horizon::Event(before, _)) = horizon else {
+            return horizon;
+        };
+        // A completion's number is reserved during the settlement, after
+        // every heap entry's: at `before` itself it fires later.
+        let mut first: Option<usize> = None;
+        for (i, t) in self.trains.iter().enumerate() {
+            if t.done >= before {
+                continue;
+            }
+            first = match first {
+                Some(f) => {
+                    let u = &self.trains[f];
+                    let earlier = t.done < u.done
+                        || (t.done == u.done && fires_first(t, t.left + 1, u, u.left + 1));
+                    Some(if earlier { i } else { f })
+                }
+                None => Some(i),
+            };
+        }
+        first.map_or(horizon, Horizon::Completion)
+    }
+
+    /// Applies `k` settled boundaries to train `i`, the last of them at
+    /// `last`, with `idle` cores idle throughout: `k` slice expiries and
+    /// warm renewals of one slice each, then the next boundary's (or the
+    /// completion's) reserved number. Returns the train as it now stands
+    /// (`left == 0` once its completion is armed).
+    fn settle_train(&mut self, i: usize, k: u64, last: SimTime, idle: u64) -> Train {
+        let t = self.trains[i];
+        let ran = t.slice * k;
+        let c = &mut self.cores[t.core.index()];
+        c.preemptions += k;
+        c.generation += 2 * k;
+        c.work_start = last;
+        let since = c
+            .busy_since
+            .replace(last)
+            .expect("train core without busy_since");
+        let generation = c.generation;
+        self.util.record_busy(t.core.index(), since, last);
+        let task = self.task_mut(t.task);
+        task.remaining -= ran;
+        task.cpu_time += ran;
+        task.preemptions += k as u32;
+        debug_assert!(
+            task.spec().deadline.is_none_or(|d| d > last),
+            "a train settled a boundary past its task's deadline"
+        );
+        self.idle_transitions += k;
+        self.events_processed += k;
+        self.renewals_settled += k;
+        self.renewal_skips += k * idle;
+        self.now = self.now.max(last);
+        let seq = self.events.reserve();
+        let train = &mut self.trains[i];
+        train.generation = generation;
+        train.seq = seq;
+        train.next = last + t.slice;
+        train.left -= k;
+        let t = *train;
+        if t.left == 0 {
+            let core = t.core;
+            self.events
+                .schedule_reserved(t.done, seq, Event::Complete { core, generation });
+        }
+        t
+    }
+
+    /// Logs the slice expiry and warm re-dispatch of every boundary in
+    /// `settling`, across trains in the order they would have fired.
+    #[cold]
+    fn log_settled(&mut self, settling: &[(SimTime, usize, u64)]) {
+        let trains = &self.trains;
+        let mut items: Vec<(SimTime, usize, u64)> = settling
+            .iter()
+            .flat_map(|&(_, i, k)| (1..=k).map(move |j| (trains[i].item_at(j), i, j)))
+            .collect();
+        items.sort_by(|&(ta, a, ja), &(tb, b, jb)| {
+            ta.cmp(&tb)
+                .then_with(|| tie_order(trains, (a, ja), (b, jb)))
+        });
+        for (at, i, _) in items {
+            let Train {
+                task, core, slice, ..
+            } = self.trains[i];
+            self.messages
+                .push((at, KernelMessage::SliceExpired { task, core }));
+            let slice = Some(slice);
+            self.messages
+                .push((at, KernelMessage::Dispatch { task, core, slice }));
+        }
+    }
+
     /// Ends the current run segment of `task` on `core` without finishing
     /// it: accounts progress, bumps preemption counters, frees the core.
-    fn stop_running(&mut self, core: CoreId, task: TaskId, by_interference: bool) {
+    fn stop_running(&mut self, core: CoreId, task: TaskId) {
         let now = self.now;
         let (ran, since) = {
             let c = &mut self.cores[core.index()];
@@ -1044,7 +1445,6 @@ impl Machine {
         t.preemptions += 1;
         t.state = TaskState::Preempted;
         t.on_core = None;
-        let _ = by_interference;
     }
 
     /// Finishes the CPU work of `task` on `core` and moves it to the

@@ -13,7 +13,7 @@ use std::borrow::Cow;
 
 use faas_simcore::{SimDuration, SimTime};
 
-use crate::core::{CoreId, CoreStats};
+use crate::core::{CoreId, CoreState, CoreStats};
 use crate::machine::{Machine, MachineConfig, PolicyCall, SimError};
 use crate::message::KernelMessage;
 use crate::task::{Task, TaskId, TaskSpec};
@@ -23,6 +23,10 @@ use crate::task::{Task, TaskId, TaskSpec};
 /// The driver guarantees:
 ///
 /// * every callback runs with exclusive access to the [`Machine`];
+/// * every kernel event is delivered and swept as below, except the slice
+///   expiries a renewal train settles (see [`Scheduler::renewal_slice`]):
+///   the driver accounts for those without calling the policy, apart from
+///   one [`Scheduler::on_renewed`] per train and settlement;
 /// * after every kernel event that delivers a policy callback, each core
 ///   that is idle at that point is considered once (in core-id order)
 ///   and offered through [`Scheduler::on_core_idle`] unless the policy's
@@ -99,6 +103,42 @@ pub trait Scheduler {
     /// no output and costs only speed.
     fn offer_scope(&self) -> OfferScope {
         OfferScope::PerCore
+    }
+
+    /// The slice `core`'s running task would be renewed with if its slice
+    /// expired now, when that renewal would change nothing else. The
+    /// default `None` never renews in closed form.
+    ///
+    /// `Some(s)` promises that, in any machine state where `core` runs a
+    /// task, `on_slice_expired(m, task, core)` followed by
+    /// `on_core_idle(m, core)` would re-dispatch that task on `core` with
+    /// slice `s`, leave [`Scheduler::may_dispatch`] unchanged for every
+    /// other core in between, and return the policy to its current state
+    /// except for what [`Scheduler::on_renewed`] catches up. Like the
+    /// sweep hints, the answer may depend on policy state only.
+    ///
+    /// While the answer holds and no idle core's `may_dispatch` is `true`,
+    /// the driver runs a *renewal train* on `core`: it arms no per-slice
+    /// event and settles the skipped expiries arithmetically before each
+    /// real event (task and core accounting, utilization, message log,
+    /// event and offer counters all come out as if each had been
+    /// delivered). A delegating wrapper that does not forward this method
+    /// delivers every expiry, which changes no output and costs only
+    /// speed.
+    fn renewal_slice(&self, core: CoreId) -> Option<SimDuration> {
+        let _ = core;
+        None
+    }
+
+    /// A renewal train settled one or more slice expiries of `task` on
+    /// `core` (see [`Scheduler::renewal_slice`]); `m` shows the task's
+    /// accounting after the last of them. Called before the next real
+    /// event is delivered, once per train and settlement. Policy state
+    /// that the skipped renewals would have moved (a run queue's
+    /// `min_vruntime`, say) catches up here; nothing a hint answers from
+    /// may change. Default: no-op.
+    fn on_renewed(&mut self, m: &Machine, task: TaskId, core: CoreId) {
+        let _ = (m, task, core);
     }
 
     /// A task finished (`MSG_TASK_DEAD`). Default: no-op.
@@ -178,6 +218,10 @@ pub struct SlimReport {
     /// throughput denominator the bench harness uses, carried here
     /// because the machine that counted them is gone.
     pub events_processed: u64,
+    /// Slice expiries renewal trains settled without popping an event
+    /// (included in `events_processed`; see
+    /// [`Machine::renewals_settled`]).
+    pub renewals_settled: u64,
     /// The kernel→agent message stream — empty unless
     /// [`MachineConfig::log_messages`] was set. Carried here (it is one
     /// empty `Vec` in the common case) so differential tests can compare
@@ -234,6 +278,15 @@ pub struct MachineRun<P> {
     /// may mutate policy state even when declined, so the next event must
     /// re-sweep; only an offer-free quiescent state allows skipping.
     last_sweep_offered: bool,
+    /// Whether the current sweep has passed over an idle core without
+    /// offering it.
+    declined: bool,
+    /// Whether, after the last sweep, an idle core's `may_dispatch` may be
+    /// `true`: the sweep offered a core after passing over another (the
+    /// offer may have changed that core's answer), or an offered core
+    /// stayed idle. Otherwise every idle core was ruled out under the
+    /// policy state the sweep left, which renewal trains rely on.
+    unsure: bool,
     /// `on_core_idle` calls made so far.
     idle_offers: u64,
     /// Idle cores the sweep considered but did not offer because the
@@ -258,6 +311,8 @@ impl<P: Scheduler> MachineRun<P> {
             pass: vec![0; words],
             swept_transitions: 0,
             last_sweep_offered: false,
+            declined: false,
+            unsure: false,
             idle_offers: 0,
             idle_offers_skipped: 0,
         }
@@ -273,15 +328,17 @@ impl<P: Scheduler> MachineRun<P> {
         &self.policy
     }
 
-    /// `on_core_idle` calls the idle sweep has made so far.
+    /// `on_core_idle` calls the idle sweep has made so far, counting one
+    /// per slice expiry a renewal train settled.
     pub fn idle_offers(&self) -> u64 {
-        self.idle_offers
+        self.idle_offers + self.machine.renewals_settled()
     }
 
     /// Idle cores the sweep has skipped so far because the policy's
-    /// hints ruled the offer out.
+    /// hints ruled the offer out, counting those the sweeps of settled
+    /// slice expiries would have skipped.
     pub fn idle_offers_skipped(&self) -> u64 {
-        self.idle_offers_skipped
+        self.idle_offers_skipped + self.machine.renewal_skips()
     }
 
     /// Feeds more task specs mid-run (the chunked cluster feed; see
@@ -291,11 +348,13 @@ impl<P: Scheduler> MachineRun<P> {
     }
 
     /// Runs until the next pending event is at or past `bound` (exclusive)
-    /// or the machine pauses with every live task finished. The strict
-    /// bound matters for chunked feeds: the next chunk's first arrival can
-    /// land exactly on the horizon, and at equal instants arrivals must
-    /// fire before dynamic events — so nothing at `bound` may be consumed
-    /// before the feed.
+    /// or the machine pauses with every live task finished, then settles
+    /// every renewal-train boundary before `bound`, so the machine is
+    /// exactly where popping each event before `bound` would leave it.
+    /// The strict bound matters for chunked feeds: the next chunk's first
+    /// arrival can land exactly on the horizon, and at equal instants
+    /// arrivals must fire before dynamic events — so nothing at `bound`
+    /// may be consumed before the feed.
     ///
     /// # Errors
     ///
@@ -308,7 +367,15 @@ impl<P: Scheduler> MachineRun<P> {
                         return Ok(());
                     }
                 }
-                _ => return Ok(()),
+                _ => {
+                    let unsure = self.unsure;
+                    if !self
+                        .machine
+                        .settle_before(bound, &mut self.policy, unsure)?
+                    {
+                        return Ok(());
+                    }
+                }
             }
         }
     }
@@ -337,7 +404,8 @@ impl<P: Scheduler> MachineRun<P> {
     ///
     /// Propagates [`SimError`] from the machine.
     pub fn step(&mut self) -> Result<bool, SimError> {
-        let call = match self.machine.advance()? {
+        self.machine.settle_next(&mut self.policy, self.unsure)?;
+        let call = match self.machine.pop_event()? {
             Some(c) => c,
             None => return Ok(false),
         };
@@ -359,11 +427,15 @@ impl<P: Scheduler> MachineRun<P> {
         // hybrid agent migrates over-limit tasks between its queues while
         // declining a core). In the common loaded phases of a simulation
         // every core is busy and completions arrive stale, so whole
-        // swaths of events skip the sweep.
+        // swaths of events skip the sweep. Slice expiries a renewal train
+        // settled count as idle transitions, so the event after them
+        // sweeps, as the offer each of them made would have required.
         if delivered
             || self.machine.idle_transitions() != self.swept_transitions
             || self.last_sweep_offered
         {
+            self.declined = false;
+            self.unsure = false;
             let offered = match self.machine.num_idle_cores() {
                 0 => false,
                 1 => self.sweep_lone_idle_core(),
@@ -375,6 +447,7 @@ impl<P: Scheduler> MachineRun<P> {
             self.swept_transitions = self.machine.idle_transitions();
             self.last_sweep_offered = offered;
         }
+        self.machine.start_train(&self.policy);
         Ok(true)
     }
 
@@ -387,17 +460,26 @@ impl<P: Scheduler> MachineRun<P> {
         let core = self.machine.idle_cores().next().expect("one idle core");
         if !self.policy.may_dispatch(core) {
             self.idle_offers_skipped += 1;
+            self.declined = true;
             return false;
         }
         let transitions = self.machine.idle_transitions();
         self.idle_offers += 1;
-        self.policy.on_core_idle(&mut self.machine, core);
+        self.offer(core);
         if self.machine.idle_transitions() != transitions {
             self.considered.fill(0);
             self.considered[core.index() / 64] |= 1 << (core.index() % 64);
             self.sweep_passes();
         }
         true
+    }
+
+    /// Offers idle `core` to the policy, noting whether the offer leaves
+    /// the sweep unsure that no idle core wants one.
+    fn offer(&mut self, core: CoreId) {
+        self.unsure |= self.declined;
+        self.policy.on_core_idle(&mut self.machine, core);
+        self.unsure |= self.machine.core_state(core) == CoreState::Idle;
     }
 
     /// Sweeps in passes, each over the idle cores not yet considered for
@@ -447,7 +529,7 @@ impl<P: Scheduler> MachineRun<P> {
                 break;
             };
             self.idle_offers += 1;
-            self.policy.on_core_idle(&mut self.machine, core);
+            self.offer(core);
             offered = true;
             from = core.index() + 1;
         }
@@ -494,7 +576,9 @@ impl<P: Scheduler> MachineRun<P> {
                 }
             }
             self.considered[w] |= bits;
-            self.idle_offers_skipped += u64::from(bits.count_ones()) - u64::from(found.is_some());
+            let skipped = u64::from(bits.count_ones()) - u64::from(found.is_some());
+            self.idle_offers_skipped += skipped;
+            self.declined |= skipped > 0;
             if found.is_some() {
                 return found;
             }
@@ -534,8 +618,10 @@ impl<P: Scheduler> MachineRun<P> {
         let finished_at = self.machine.now();
         let core_stats = self.core_stats();
         let policy = self.policy.name().to_owned();
+        let (idle_offers, idle_offers_skipped) = (self.idle_offers(), self.idle_offers_skipped());
         let mut machine = self.machine;
         let events_processed = machine.events_processed();
+        let renewals_settled = machine.renewals_settled();
         let max_in_flight = machine.max_in_flight();
         let cancelled = machine.num_cancelled();
         let messages = machine.take_messages();
@@ -546,11 +632,12 @@ impl<P: Scheduler> MachineRun<P> {
             core_stats,
             finished_at,
             events_processed,
+            renewals_settled,
             messages,
             max_in_flight,
             cancelled,
-            idle_offers: self.idle_offers,
-            idle_offers_skipped: self.idle_offers_skipped,
+            idle_offers,
+            idle_offers_skipped,
         })
     }
 

@@ -211,6 +211,44 @@ mod tests {
         assert_eq!(l.total_busy(1), SimDuration::from_millis(500));
     }
 
+    /// Renewal trains record a run of back-to-back slices as one span,
+    /// which must leave the same buckets as recording it slice by slice:
+    /// `[a, c)` equals `[a, b)` then `[b, c)`, for splits inside one
+    /// bucket (the memoized fast path), across bucket edges and exactly on
+    /// them, after earlier spans warmed the memo.
+    #[test]
+    fn split_span_leaves_same_buckets() {
+        use faas_simcore::check;
+        check::run("split_span_leaves_same_buckets", 256, |g| {
+            let width = g.u64_in(1, 2_000);
+            let mut whole = UtilizationLedger::new(1, SimDuration::from_micros(width));
+            let mut split = whole.clone();
+            let mut t = g.u64_in(0, 3 * width);
+            for _ in 0..g.usize_in(1, 12) {
+                let len = |g: &mut check::Gen| {
+                    let max = if g.boolean() { width / 4 } else { 3 * width };
+                    g.u64_in(0, max + 1)
+                };
+                let a = t + len(g);
+                let b = if g.usize_in(0, 4) == 0 {
+                    a.div_ceil(width) * width
+                } else {
+                    a + len(g)
+                };
+                let c = b + len(g);
+                let us = SimTime::from_micros;
+                whole.record_busy(0, us(a), us(c));
+                split.record_busy(0, us(a), us(b));
+                split.record_busy(0, us(b), us(c));
+                assert_eq!(
+                    whole.busy, split.busy,
+                    "[{a}, {c}) split at {b}, width {width}"
+                );
+                t = c;
+            }
+        });
+    }
+
     #[test]
     #[should_panic]
     fn reversed_interval_panics() {

@@ -1,7 +1,9 @@
 //! The reference drivers the batched idle sweep is tested against,
 //! shared by the kernel's and the schedulers' differential suites.
 
-use faas_kernel::{CoreId, CoreState, Machine, MachineConfig, PolicyCall, Scheduler, TaskSpec};
+use faas_kernel::{
+    CoreId, CoreState, Machine, MachineConfig, PolicyCall, Scheduler, SimError, TaskSpec,
+};
 
 /// Delivers the policy callback for one kernel event; returns whether a
 /// callback ran.
@@ -19,22 +21,29 @@ fn deliver<P: Scheduler>(m: &mut Machine, policy: &mut P, call: PolicyCall) -> b
 
 /// The pre-batching driver, re-implemented over the public API: advance
 /// the machine, deliver the callback, then offer every idle core in id
-/// order after every event — ignoring [`Scheduler::may_dispatch`].
-/// Returns the final machine and policy.
+/// order after every event — ignoring [`Scheduler::may_dispatch`], and
+/// so delivering every slice expiry. Returns the final machine and policy.
 pub fn run_brute_force<P: Scheduler>(
     cfg: MachineConfig,
     specs: Vec<TaskSpec>,
-    mut policy: P,
+    policy: P,
 ) -> (Machine, P) {
+    try_run_brute_force(cfg, specs, policy).expect("no deadlock")
+}
+
+/// [`run_brute_force`], returning the machine's error instead of
+/// panicking on it.
+#[allow(dead_code)] // not every suite that includes this module fails runs
+pub fn try_run_brute_force<P: Scheduler>(
+    cfg: MachineConfig,
+    specs: Vec<TaskSpec>,
+    mut policy: P,
+) -> Result<(Machine, P), SimError> {
     let mut m = Machine::new(cfg, specs);
     if let Some(every) = policy.tick_interval() {
         m.arm_tick(every);
     }
-    loop {
-        let call = match m.advance().expect("no deadlock") {
-            Some(c) => c,
-            None => return (m, policy),
-        };
+    while let Some(call) = m.advance()? {
         deliver(&mut m, &mut policy, call);
         for i in 0..m.num_cores() {
             let core = CoreId::from_index(i);
@@ -43,6 +52,7 @@ pub fn run_brute_force<P: Scheduler>(
             }
         }
     }
+    Ok((m, policy))
 }
 
 /// The per-core walk the scoped sweep must reproduce, re-implemented over

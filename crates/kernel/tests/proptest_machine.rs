@@ -473,6 +473,155 @@ fn scoped_sweep_equals_per_core_walk() {
     });
 }
 
+/// A per-core agent that renews lone tasks, built to stress renewal
+/// trains: every task has a home core, expired tasks re-queue there, and
+/// an offer runs the head of the core's own queue for a fixed slice. Its
+/// `may_dispatch` is inexact: a core can be set to decline a few offers
+/// while work waits in its queue and another core is busy, so an idle
+/// core may want an offer at any boundary of another core's train. An offer sometimes also sends a
+/// queued task to another core's queue. `renewal_slice` answers for a
+/// core with nothing queued and no declines pending.
+struct Renewing {
+    queues: Vec<std::collections::VecDeque<TaskId>>,
+    declines: Vec<u32>,
+    slice: SimDuration,
+    renewed: u64,
+}
+
+impl Renewing {
+    fn new(cores: usize, slice_ms: u64) -> Self {
+        Renewing {
+            queues: vec![std::collections::VecDeque::new(); cores],
+            declines: vec![0; cores],
+            slice: SimDuration::from_millis(slice_ms),
+            renewed: 0,
+        }
+    }
+}
+
+impl Scheduler for Renewing {
+    fn name(&self) -> &str {
+        "renewing"
+    }
+    fn on_task_new(&mut self, _m: &mut Machine, task: TaskId) {
+        let n = self.queues.len();
+        let home = task.index().wrapping_mul(7919) % n;
+        self.queues[home].push_back(task);
+        self.declines[home] += (task.index() % 3) as u32;
+    }
+    fn on_slice_expired(&mut self, _m: &mut Machine, task: TaskId, core: CoreId) {
+        self.queues[core.index()].push_back(task);
+    }
+    fn on_core_idle(&mut self, m: &mut Machine, core: CoreId) {
+        let c = core.index();
+        // Declining is safe only while another core's event is to come,
+        // and changes nothing when there is nothing to decline.
+        let waiting = !self.queues[c].is_empty();
+        if waiting && self.declines[c] > 0 && m.num_idle_cores() < m.num_cores() {
+            self.declines[c] -= 1;
+            return;
+        }
+        let Some(task) = self.queues[c].pop_front() else {
+            return;
+        };
+        m.dispatch(core, task, Some(self.slice))
+            .expect("dispatch on idle core");
+        if self.queues[c].len() > 1 && task.index() % 2 == 0 {
+            let moved = self.queues[c].pop_back().expect("queue holds two");
+            let to = (c + 1 + task.index()) % self.queues.len();
+            self.queues[to].push_back(moved);
+        }
+    }
+    fn may_dispatch(&self, core: CoreId) -> bool {
+        !self.queues[core.index()].is_empty()
+    }
+    fn renewal_slice(&self, core: CoreId) -> Option<SimDuration> {
+        let c = core.index();
+        (self.queues[c].is_empty() && self.declines[c] == 0).then_some(self.slice)
+    }
+    fn on_renewed(&mut self, _m: &Machine, _task: TaskId, _core: CoreId) {
+        self.renewed += 1;
+    }
+}
+
+/// Renewal trains settle lone slice expiries without delivering them;
+/// under an agent with an inexact `may_dispatch`, where an idle core can
+/// want an offer at any train boundary, the run must still match the
+/// brute-force driver (message log, task records, core statistics,
+/// processed events) and the per-core walk's offer counts.
+#[test]
+fn renewal_trains_equal_brute_force_driver() {
+    let settled = std::cell::Cell::new(0);
+    check::run("renewal_trains_equal_brute_force_driver", 64, |g| {
+        let cores = g.usize_in(1, 7);
+        let slice_ms = g.u64_in(1, 30);
+        let specs: Vec<TaskSpec> = (0..g.usize_in(1, 14))
+            .map(|_| {
+                // Arrivals on multiples of the slice land on boundaries.
+                let arrival = g.u64_in(0, 60) * slice_ms;
+                let work = if g.boolean() {
+                    g.u64_in(100, 2_000)
+                } else {
+                    g.u64_in(1, 60)
+                };
+                TaskSpec::function(
+                    SimTime::from_millis(arrival),
+                    SimDuration::from_millis(work),
+                    128,
+                )
+            })
+            .collect();
+        let seed = g.u64_in(0, u64::MAX);
+        let interference = g.boolean();
+        // Free switches put every boundary on a multiple of the slice.
+        let cost = if g.boolean() {
+            CostModel::free()
+        } else {
+            CostModel::from_micros(3, 50)
+        };
+        let make_cfg = || {
+            let cfg = MachineConfig::new(cores).with_cost(cost).with_message_log();
+            if interference {
+                cfg.with_interference(InterferenceConfig {
+                    mean_interval: SimDuration::from_millis(300),
+                    duration: SimDuration::from_millis(4),
+                })
+                .with_seed(seed)
+            } else {
+                cfg
+            }
+        };
+        let mut sim = Simulation::new(make_cfg(), specs.clone(), Renewing::new(cores, slice_ms));
+        while sim.step().expect("run completes") {}
+        let (brute, _) = run_brute_force(make_cfg(), specs.clone(), Renewing::new(cores, slice_ms));
+        let (_, _, walk_counts) =
+            run_per_core_walk(make_cfg(), specs, Renewing::new(cores, slice_ms));
+        let m = sim.machine();
+        assert_eq!(m.messages(), brute.messages(), "kernel message streams");
+        assert_eq!(m.now(), brute.now());
+        assert_eq!(m.events_processed(), brute.events_processed(), "events");
+        for c in 0..cores {
+            let core = CoreId::from_index(c);
+            assert_eq!(m.core_stats(core), brute.core_stats(core), "core {c}");
+        }
+        for i in 0..brute.num_tasks() {
+            let id = TaskId::from_index(i);
+            let (a, b) = (m.task(id), brute.task(id));
+            assert_eq!(a.completion(), b.completion(), "task {id} completion");
+            assert_eq!(a.cpu_time(), b.cpu_time(), "task {id} cpu time");
+            assert_eq!(a.preemptions(), b.preemptions(), "task {id} preemptions");
+        }
+        assert_eq!(
+            (sim.idle_offers(), sim.idle_offers_skipped()),
+            walk_counts,
+            "offered and skipped counts"
+        );
+        assert!(sim.policy().renewed <= m.renewals_settled());
+        settled.set(settled.get() + m.renewals_settled());
+    });
+    assert!(settled.get() > 0, "no case settled a renewal");
+}
+
 /// Interference storms never corrupt accounting or strand tasks.
 #[test]
 fn interference_storm_is_survivable() {

@@ -220,6 +220,27 @@ impl CfsQueues {
         }
     }
 
+    /// The slice a lone task running on member `core` is renewed with
+    /// when it expires: the latency target, while `core`'s own queue is
+    /// empty and no queue holds two or more tasks. The expired task is
+    /// then requeued alone on `core`, no other core's
+    /// [`CfsQueues::may_dispatch`] changes, and [`CfsQueues::dispatch`]
+    /// pops it straight back, leaving the queues as they were but for
+    /// `core`'s `min_vruntime` ([`CfsQueues::renewed`] catches that up).
+    pub fn renewal_slice(&self, core: CoreId) -> Option<SimDuration> {
+        (self.has_core(core) && self.queue_len(core) == 0 && self.crowded() == 0)
+            .then(|| self.slice_for(0))
+    }
+
+    /// Catches `core`'s `min_vruntime` up with renewals of `task` that were
+    /// settled without going through the queue: each would have popped
+    /// the task at its vruntime, and that vruntime only grows.
+    pub fn renewed(&mut self, m: &Machine, core: CoreId, task: TaskId) {
+        let vr = self.vruntime(m, task);
+        let rq = self.rq_mut(core);
+        rq.min_vruntime = rq.min_vruntime.max(vr);
+    }
+
     /// A task's effective vruntime (µs): its placement offset plus its
     /// on-CPU time so far.
     pub fn vruntime(&self, m: &Machine, task: TaskId) -> i64 {
@@ -475,6 +496,14 @@ impl Scheduler for Cfs {
     fn may_dispatch(&self, core: CoreId) -> bool {
         self.queues.may_dispatch(core)
     }
+
+    fn renewal_slice(&self, core: CoreId) -> Option<SimDuration> {
+        self.queues.renewal_slice(core)
+    }
+
+    fn on_renewed(&mut self, m: &Machine, task: TaskId, core: CoreId) {
+        self.queues.renewed(m, core, task);
+    }
 }
 
 #[cfg(test)]
@@ -639,8 +668,10 @@ mod tests {
     /// number of queues holding two or more tasks, with one task queued
     /// `lone_core` names the queue holding it, `may_dispatch` says yes to
     /// a member exactly when its own queue is non-empty or some queue
-    /// holds two or more, and `offer_scope` never rules out a core that
-    /// `may_dispatch` says yes to. A steal happens exactly when some other
+    /// holds two or more, `offer_scope` never rules out a core that
+    /// `may_dispatch` says yes to, and `renewal_slice` names the latency
+    /// target exactly for members with an empty queue while no queue
+    /// holds two or more. A steal happens exactly when some other
     /// queue holds two or more. Half the cases keep every core a member,
     /// as `Cfs` does; the other half churn membership, as the hybrid's
     /// rightsizing does. Placements draw random sleeper bonuses.
@@ -723,6 +754,11 @@ mod tests {
                     OfferScope::PerCore => {}
                     OfferScope::Only(c) => assert_eq!(willing, [c], "offer scope after op {op}"),
                     OfferScope::Nowhere => assert!(willing.is_empty(), "offer scope after op {op}"),
+                }
+                for c in (0..CORES).map(CoreId::from_index) {
+                    let lone = q.has_core(c) && q.queue_len(c) == 0 && crowded == 0;
+                    let want = lone.then_some(SimDuration::from_millis(24));
+                    assert_eq!(q.renewal_slice(c), want, "renewal slice of {c:?}");
                 }
             }
         });

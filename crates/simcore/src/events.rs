@@ -164,8 +164,32 @@ impl<E> EventQueue<E> {
     /// tracked events share the same (time, insertion-sequence) order.
     #[inline]
     pub fn schedule_untracked(&mut self, at: SimTime, payload: E) {
+        let seq = self.reserve();
+        self.schedule_reserved(at, seq, payload);
+    }
+
+    /// Takes the next insertion sequence number without scheduling
+    /// anything. An event later scheduled with it through
+    /// [`EventQueue::schedule_reserved`] orders exactly as if it had been
+    /// scheduled now: after every event scheduled before this call and
+    /// before every event scheduled after it, at equal instants.
+    #[inline]
+    pub fn reserve(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` untracked (see
+    /// [`EventQueue::schedule_untracked`]) under a sequence number taken
+    /// earlier with [`EventQueue::reserve`]. Each reserved number may be
+    /// used at most once.
+    #[inline]
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, payload: E) {
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
         let pos = self.keys.len();
         self.keys.push((at, seq));
         self.rest.push(Rest {
@@ -215,6 +239,13 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.keys.first().map(|&(at, _)| at)
+    }
+
+    /// The ordering key (instant, insertion sequence) of the earliest
+    /// live event, without removing it.
+    #[inline]
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.keys.first().copied()
     }
 
     /// Number of live pending events.

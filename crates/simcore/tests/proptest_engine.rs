@@ -190,6 +190,71 @@ fn untracked_and_clear_preserve_order() {
     });
 }
 
+/// A sequence number reserved now and scheduled later orders as if the
+/// event had been scheduled at reservation time: under random
+/// interleavings of schedule, reserve, schedule-a-reservation, pop and
+/// cancel, every pop delivers the (time, seq)-minimum of a sorted
+/// reference model, and `peek_key` names it.
+#[test]
+fn reserved_sequence_numbers_keep_reservation_order() {
+    check::run(
+        "reserved_sequence_numbers_keep_reservation_order",
+        192,
+        |g| {
+            let mut q = EventQueue::new();
+            // The model: (time, seq, payload) of every event in the queue.
+            let mut model: Vec<(SimTime, u64, usize)> = Vec::new();
+            // Reserved numbers not yet scheduled, and cancellable ids.
+            let mut reserved: Vec<u64> = Vec::new();
+            let mut ids = Vec::new();
+            let mut seq = 0u64;
+            for payload in 0..g.usize_in(1, 150) {
+                match g.usize_in(0, 6) {
+                    0 => {
+                        let at = SimTime::from_micros(g.u64_in(0, 200));
+                        q.schedule_untracked(at, payload);
+                        model.push((at, seq, payload));
+                        seq += 1;
+                    }
+                    1 => {
+                        let at = SimTime::from_micros(g.u64_in(0, 200));
+                        ids.push((q.schedule(at, payload), seq));
+                        model.push((at, seq, payload));
+                        seq += 1;
+                    }
+                    2 => {
+                        assert_eq!(q.reserve(), seq, "reservations take the next number");
+                        reserved.push(seq);
+                        seq += 1;
+                    }
+                    3 if !reserved.is_empty() => {
+                        let r = reserved.swap_remove(g.usize_in(0, reserved.len()));
+                        let at = SimTime::from_micros(g.u64_in(0, 200));
+                        q.schedule_reserved(at, r, payload);
+                        model.push((at, r, payload));
+                    }
+                    4 if !ids.is_empty() => {
+                        let (id, s) = ids.swap_remove(g.usize_in(0, ids.len()));
+                        let live = model.iter().position(|&(_, ms, _)| ms == s);
+                        assert_eq!(q.cancel(id), live.is_some(), "cancel");
+                        if let Some(i) = live {
+                            model.swap_remove(i);
+                        }
+                    }
+                    _ => {
+                        model.sort_unstable();
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        assert_eq!(q.pop(), want.map(|(at, _, p)| (at, p)), "pop");
+                    }
+                }
+                let min = model.iter().map(|&(at, s, _)| (at, s)).min();
+                assert_eq!(q.peek_key(), min, "peek_key");
+                assert_eq!(q.len(), model.len(), "len");
+            }
+        },
+    );
+}
+
 /// SimTime/SimDuration arithmetic round-trips.
 #[test]
 fn time_arithmetic_roundtrip() {
